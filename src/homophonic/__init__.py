@@ -72,59 +72,3 @@ from .words import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbelianInvariants",
-    "Alphabet",
-    "EliminationStep",
-    "EliminationTrace",
-    "ExponentMatrix",
-    "FreeOfRank",
-    "Generator",
-    "LanguageDataset",
-    "NotEliminableError",
-    "Presentation",
-    "Provenance",
-    "Relation",
-    "RelationRecord",
-    "SignedLetter",
-    "SyllableDecomposition",
-    "TraceInvalidError",
-    "Trivial",
-    "Unresolved",
-    "Verdict",
-    "Word",
-    "abelian_invariants",
-    "builtin_dataset",
-    "certificate_line",
-    "compose_syllable",
-    "concat",
-    "consistent",
-    "cyclic_reduce",
-    "decompose_syllable",
-    "decompose_text",
-    "describe_verdict",
-    "display",
-    "eliminate",
-    "exponent_matrix",
-    "free_reduce",
-    "invert",
-    "letter_word",
-    "load_dataset",
-    "machine_trace",
-    "normalize",
-    "occurrences",
-    "parse_dataset",
-    "parse_jamo",
-    "parse_word",
-    "relator_from_relation",
-    "render_trace",
-    "replay",
-    "save_dataset",
-    "serialize_dataset",
-    "simplify",
-    "smith_normal_form",
-    "split_graphemes",
-    "substitute",
-    "to_presentation",
-]

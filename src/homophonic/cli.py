@@ -17,6 +17,7 @@ from .presentation import (
     DEFAULT_MAX_RELATOR_LEN,
     DEFAULT_MAX_ROUNDS,
     Unresolved,
+    _table_rows,
     describe_verdict,
     machine_trace,
     render_trace,
@@ -30,12 +31,6 @@ EXIT_UNRESOLVED = 2
 EXIT_INCONSISTENT = 3
 
 TURKISH_REFERENCE_RANK = 22
-
-REPORT_SECTIONS = (
-    ("german", "german.hq"),
-    ("korean", "korean.hq"),
-    ("turkish", "turkish.hq"),
-)
 
 
 def _add_limit_flags(sub: argparse.ArgumentParser) -> None:
@@ -51,11 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     reduce_cmd = commands.add_parser("reduce", help="freely reduce a word")
+    reduce_cmd.set_defaults(handler=cmd_reduce)
     reduce_cmd.add_argument("alphabet_file", help="dataset file providing the alphabet")
     reduce_cmd.add_argument("word", help="space-separated glyphs, ^-1 marks inverses")
     reduce_cmd.add_argument("--ascii", action="store_true")
 
     simplify_cmd = commands.add_parser("simplify", help="simplify a dataset to a verdict")
+    simplify_cmd.set_defaults(handler=cmd_simplify)
     simplify_cmd.add_argument("dataset")
     simplify_cmd.add_argument("--trace", action="store_true")
     simplify_cmd.add_argument("--machine", action="store_true")
@@ -65,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify_cmd = commands.add_parser(
         "certify", help="simplify plus an independent abelianization certificate"
     )
+    certify_cmd.set_defaults(handler=cmd_certify)
     certify_cmd.add_argument("dataset")
     certify_cmd.add_argument("--ascii", action="store_true")
     _add_limit_flags(certify_cmd)
@@ -72,11 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     decompose_cmd = commands.add_parser(
         "decompose", help="flatten Hangul syllables to jamo"
     )
+    decompose_cmd.set_defaults(handler=cmd_decompose)
     decompose_cmd.add_argument("text")
 
     report_cmd = commands.add_parser(
         "report", help="run every bundled corpus and print certificates"
     )
+    report_cmd.set_defaults(handler=cmd_report)
     report_cmd.add_argument(
         "directory",
         nargs="?",
@@ -97,38 +97,42 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_simplify(args: argparse.Namespace) -> int:
-    dataset = datasets.load_dataset(args.dataset)
-    verdict, trace = simplify(
-        datasets.to_presentation(dataset),
-        max_rounds=args.max_rounds,
-        max_relator_len=args.max_relator_len,
-    )
-    if args.machine:
-        for line in machine_trace(trace, ascii_inverse=True):
-            print(line)
-        print(describe_verdict(verdict, eliminated=len(trace.steps)))
-    elif args.trace:
-        print(render_trace(trace, verdict))
-    else:
-        print(describe_verdict(verdict, eliminated=len(trace.steps)))
-    return EXIT_UNRESOLVED if isinstance(verdict, Unresolved) else EXIT_OK
-
-
-def cmd_certify(args: argparse.Namespace) -> int:
-    dataset = datasets.load_dataset(args.dataset)
+def _simplified(args: argparse.Namespace, path: str | Path):
+    """Load a dataset and simplify its presentation under the limit flags."""
+    dataset = datasets.load_dataset(path)
     presentation = datasets.to_presentation(dataset)
     verdict, trace = simplify(
         presentation,
         max_rounds=args.max_rounds,
         max_relator_len=args.max_relator_len,
     )
+    return dataset, presentation, verdict, trace
+
+
+def _exit_code(verdict, invariants=None) -> int:
+    if invariants is not None and not consistent(verdict, invariants):
+        return EXIT_INCONSISTENT
+    return EXIT_UNRESOLVED if isinstance(verdict, Unresolved) else EXIT_OK
+
+
+def cmd_simplify(args: argparse.Namespace) -> int:
+    _, _, verdict, trace = _simplified(args, args.dataset)
+    if args.machine:
+        for line in machine_trace(trace, ascii_inverse=True):
+            print(line)
+    if args.trace and not args.machine:
+        print(render_trace(trace, verdict))
+    else:
+        print(describe_verdict(verdict, eliminated=len(trace.steps)))
+    return _exit_code(verdict)
+
+
+def cmd_certify(args: argparse.Namespace) -> int:
+    _, presentation, verdict, trace = _simplified(args, args.dataset)
     invariants = abelian_invariants(presentation)
     print(describe_verdict(verdict, eliminated=len(trace.steps)))
     print(certificate_line(invariants, verdict))
-    if not consistent(verdict, invariants):
-        return EXIT_INCONSISTENT
-    return EXIT_UNRESOLVED if isinstance(verdict, Unresolved) else EXIT_OK
+    return _exit_code(verdict, invariants)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -142,14 +146,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     worst = EXIT_OK
     blocks: list[str] = []
-    for name, filename in REPORT_SECTIONS:
-        dataset = datasets.load_dataset(directory / filename)
-        presentation = datasets.to_presentation(dataset)
-        verdict, trace = simplify(
-            presentation,
-            max_rounds=args.max_rounds,
-            max_relator_len=args.max_relator_len,
-        )
+    for name in datasets.BUILTIN_LANGUAGES:
+        dataset, presentation, verdict, trace = _simplified(args, directory / f"{name}.hq")
         invariants = abelian_invariants(presentation)
         lines = [
             f"== {name} ==",
@@ -161,10 +159,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if args.machine:
             lines.extend(machine_trace(trace, ascii_inverse=True))
         else:
-            lines.extend(
-                f"{step.generator.glyph} | {step.provenance.witness()}"
-                for step in trace.steps
-            )
+            lines.extend(_table_rows(trace))
         lines.append(certificate_line(invariants, verdict))
         if name == "turkish":
             computed = invariants.free_rank
@@ -178,10 +173,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"reference rank: {TURKISH_REFERENCE_RANK} ({note})"
             )
         blocks.append("\n".join(lines))
-        if not consistent(verdict, invariants):
-            worst = EXIT_INCONSISTENT
-        elif isinstance(verdict, Unresolved) and worst == EXIT_OK:
-            worst = EXIT_UNRESOLVED
+        worst = max(worst, _exit_code(verdict, invariants))  # codes rise with severity
     print("\n\n".join(blocks))
     return worst
 
@@ -191,15 +183,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(encoding="utf-8")
         sys.stderr.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
-    handlers = {
-        "reduce": cmd_reduce,
-        "simplify": cmd_simplify,
-        "certify": cmd_certify,
-        "decompose": cmd_decompose,
-        "report": cmd_report,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

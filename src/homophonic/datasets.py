@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import hangul
 from .presentation import Presentation, Provenance, Relation
-from .words import Alphabet, SignedLetter, UnknownGlyphError, Word, free_reduce
+from .words import Alphabet, SignedLetter, Word, free_reduce
 
 KOREAN_LANGUAGE_TAG = "ko"
 RECORD_FIELDS = 5
@@ -68,17 +68,19 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
         line = raw_line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        if line.startswith("@language"):
-            parts = line.split(None, 1)
-            if len(parts) != 2 or not parts[1].strip():
-                raise DatasetError("@language needs a tag", lineno, source)
-            if language is not None:
-                raise DatasetError("duplicate @language line", lineno, source)
-            language = parts[1].strip()
-        elif line.startswith("@alphabet"):
-            glyphs.extend(line.split()[1:])
-        elif line.startswith("@"):
-            raise DatasetError(f"unknown header {line.split()[0]!r}", lineno, source)
+        if line.startswith("@"):
+            keyword = line.split(None, 1)[0]
+            value = line[len(keyword) :]
+            if keyword == "@language":
+                if not value.strip():
+                    raise DatasetError("@language needs a tag", lineno, source)
+                if language is not None:
+                    raise DatasetError("duplicate @language line", lineno, source)
+                language = value.strip()
+            elif keyword == "@alphabet":
+                glyphs.extend(value.split())
+            else:
+                raise DatasetError(f"unknown header {keyword!r}", lineno, source)
         else:
             fields = line.split("\t")
             if len(fields) != RECORD_FIELDS:
@@ -119,16 +121,13 @@ def _validate(dataset: LanguageDataset, source: str) -> None:
 def _side_word(alphabet: Alphabet, language: str, kind: str, side: str) -> Word:
     if kind == "raw":
         glyphs = side.split("+") if side else []
-        return free_reduce(
-            SignedLetter(alphabet.generator(glyph, i), 1)
-            for i, glyph in enumerate(glyphs)
-        )
-    if language == KOREAN_LANGUAGE_TAG:
-        letters = []
-        for i, jamo in enumerate(hangul.decompose_text(side)):
-            letters.append(SignedLetter(alphabet.generator(jamo, i), 1))
-        return free_reduce(letters)
-    return alphabet.word(side)
+    elif language == KOREAN_LANGUAGE_TAG:
+        glyphs = hangul.decompose_text(side)
+    else:
+        return alphabet.word(side)
+    return free_reduce(
+        SignedLetter(alphabet.generator(glyph, i), 1) for i, glyph in enumerate(glyphs)
+    )
 
 
 def load_dataset(path: str | Path) -> LanguageDataset:

@@ -170,5 +170,10 @@ def parse_jamo(seq: list[str] | tuple[str, ...] | str) -> list[SyllableDecomposi
                 v + 1,
                 f"consonant run leaves a tail of {len(tail)}; at most 2 fit",
             )
-        syllables.append(SyllableDecomposition(chars[v - 1], chars[v], tail))
+        syllable = SyllableDecomposition(chars[v - 1], chars[v], tail)
+        try:
+            compose_syllable(syllable)
+        except InvalidTailError as exc:
+            raise JamoParseError(v + 1, str(exc)) from None
+        syllables.append(syllable)
     return syllables

@@ -8,10 +8,12 @@ whole history is recorded as a replayable trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .words import (
+    EMPTY_WORD,
     Alphabet,
     Generator,
     Word,
@@ -118,14 +120,11 @@ class Presentation:
         cls, alphabet: Alphabet, relators: Sequence[Word]
     ) -> "Presentation":
         """Build a presentation from bare relators (for tests and hand input)."""
-        kept: list[Word] = []
-        origins: list[Provenance] = []
-        for w in relators:
-            core, _ = cyclic_reduce(w)
-            if core:
-                kept.append(core)
-                origins.append(Provenance(lhs=display(core), rhs="1"))
-        return cls(alphabet, tuple(kept), tuple(origins), frozenset(range(len(alphabet))))
+        cores = [cyclic_reduce(w)[0] for w in relators]
+        return cls.from_relations(
+            alphabet,
+            [Relation(c, EMPTY_WORD, Provenance(lhs=display(c), rhs="1")) for c in cores],
+        )
 
     def live_generators(self) -> tuple[Generator, ...]:
         return tuple(self.alphabet[i] for i in sorted(self.live))
@@ -149,7 +148,7 @@ class Unresolved:
     """Simplification stopped with relators left over."""
 
     remaining: Presentation
-    reason: str = ""
+    reason: str = field(default="", compare=False)  # why the run stopped; replay cannot know
 
 
 Verdict = Trivial | FreeOfRank | Unresolved
@@ -262,12 +261,29 @@ def _greedy_pick(p: Presentation, candidates: list[tuple[int, Generator]]):
     return best, max(gens, key=lambda g: g.id)
 
 
-def _verdict_of(p: Presentation, reason: str = "") -> Verdict:
+def _run(p: Presentation, choose, max_rounds: float, max_relator_len: float):
+    """The elimination loop behind ``simplify`` and ``replay``: ``choose`` names
+    the next (relator index, generator) pair, or None to stop.  Every exit
+    leaves a normalized presentation."""
+    p = normalize(p)
+    steps: list[EliminationStep] = []
+    reason = "no relator with a single-occurrence generator"
+    while (choice := choose(p)) is not None:
+        if len(steps) >= max_rounds:
+            reason = "round limit reached"
+            break
+        p, step = eliminate(p, choice[1], choice[0])
+        steps.append(step)
+        p = normalize(p)
+        if any(len(w) > max_relator_len for w in p.relators):
+            reason = "relator length limit exceeded"
+            break
+    trace = EliminationTrace(tuple(steps), p)
     if p.relators:
-        return Unresolved(p, reason or "no relator with a single-occurrence generator")
+        return Unresolved(p, reason), trace
     if p.live:
-        return FreeOfRank(len(p.live), p.live_generators())
-    return Trivial()
+        return FreeOfRank(len(p.live), p.live_generators()), trace
+    return Trivial(), trace
 
 
 def simplify(
@@ -279,54 +295,44 @@ def simplify(
 ) -> tuple[Verdict, EliminationTrace]:
     """Run the elimination loop to a verdict and a replayable trace.
 
-    Each round normalizes the presentation, picks an eliminable
-    (relator, generator) pair, and eliminates.  Hitting either limit
-    yields an Unresolved verdict rather than an error.
+    Each round picks an eliminable (relator, generator) pair and
+    eliminates.  Hitting either limit yields an Unresolved verdict rather
+    than an error.
     """
-    chooser = pick or _greedy_pick
-    p = normalize(p)
-    steps: list[EliminationStep] = []
-    reason = ""
-    rounds = 0
-    while True:
-        candidates = eliminable(p)
-        if not candidates:
-            break
-        if rounds >= max_rounds:
-            reason = "round limit reached"
-            break
-        index, g = chooser(p, candidates)
-        p, step = eliminate(p, g, index)
-        steps.append(step)
-        rounds += 1
-        if any(len(w) > max_relator_len for w in p.relators):
-            reason = "relator length limit exceeded"
-            break
-        p = normalize(p)
-    trace = EliminationTrace(tuple(steps), p)
-    return _verdict_of(p, reason), trace
+    pick = pick or _greedy_pick
+
+    def choose(q: Presentation):
+        candidates = eliminable(q)
+        return pick(q, candidates) if candidates else None
+
+    return _run(p, choose, max_rounds, max_relator_len)
 
 
 def replay(trace: EliminationTrace, p: Presentation) -> Verdict:
-    """Re-apply a recorded trace step by step, checking each precondition.
+    """Re-run the elimination loop on the recorded choices, checking each.
 
     Raises TraceInvalidError (with the failing step index) when a step no
     longer matches the presentation it claims to act on.
     """
-    p = normalize(p)
-    for i, step in enumerate(trace.steps):
-        if not 0 <= step.relator_index < len(p.relators):
+    script = enumerate(trace.steps)
+
+    def choose(q: Presentation):
+        i, step = next(script, (None, None))
+        if step is None:
+            return None
+        if not 0 <= step.relator_index < len(q.relators):
             raise TraceInvalidError(i, f"relator index {step.relator_index} out of range")
-        relator = p.relators[step.relator_index]
-        if occurrences(relator, step.generator) != 1:
+        if occurrences(q.relators[step.relator_index], step.generator) != 1:
             raise TraceInvalidError(
                 i, f"{step.generator.glyph!r} does not occur exactly once"
             )
-        p, applied = eliminate(p, step.generator, step.relator_index)
-        if applied.solution != step.solution:
+        return step.relator_index, step.generator
+
+    verdict, replayed = _run(p, choose, math.inf, math.inf)
+    for i, (recorded, applied) in enumerate(zip(trace.steps, replayed.steps)):
+        if applied.solution != recorded.solution:
             raise TraceInvalidError(i, "recorded solution does not match")
-        p = normalize(p)
-    return _verdict_of(p)
+    return verdict
 
 
 def describe_verdict(verdict: Verdict, eliminated: int | None = None) -> str:
@@ -346,11 +352,14 @@ def describe_verdict(verdict: Verdict, eliminated: int | None = None) -> str:
 
 def render_trace(trace: EliminationTrace, verdict: Verdict) -> str:
     """Two-column elimination table followed by the verdict line."""
-    lines = [
-        f"{step.generator.glyph} | {step.provenance.witness()}" for step in trace.steps
-    ]
+    lines = _table_rows(trace)
     lines.append(describe_verdict(verdict, eliminated=len(trace.steps)))
     return "\n".join(lines)
+
+
+def _table_rows(trace: EliminationTrace) -> list[str]:
+    """One ``glyph | witness`` line per step, shared with ``report``."""
+    return [f"{step.generator.glyph} | {step.provenance.witness()}" for step in trace.steps]
 
 
 def machine_trace(trace: EliminationTrace, ascii_inverse: bool = True) -> list[str]:

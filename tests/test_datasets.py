@@ -81,6 +81,18 @@ class TestParsing:
         with pytest.raises(DatasetError):
             parse_dataset("@language xx\n@alphabet a a\n")
 
+    def test_language_keyword_must_match_exactly(self):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset("@languagex de\n@alphabet a\n")
+        assert err.value.line == 1
+        assert "'@languagex'" in str(err.value)
+
+    def test_alphabet_keyword_must_match_exactly(self):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset("@language de\n@alphabetical a b\n")
+        assert err.value.line == 2
+        assert "'@alphabetical'" in str(err.value)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", BUILTIN_LANGUAGES)

@@ -118,6 +118,12 @@ class TestParseJamo:
         with pytest.raises(JamoParseError):
             parse_jamo(["ㅅ", "x"])
 
+    @pytest.mark.parametrize("seq", ["ㄱㅏㄸ", "ㄱㅏㄱㄱ", "ㄱㅏㅃㄱㅏ"])
+    def test_tail_no_syllable_carries_is_rejected_at_the_tail(self, seq):
+        with pytest.raises(JamoParseError) as err:
+            parse_jamo(seq)
+        assert err.value.position == 2
+
 
 class TestUniqueness:
     def test_flatten_then_parse_is_identity_and_unique(self):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -168,6 +169,43 @@ class TestReplay:
         with pytest.raises(TraceInvalidError) as err:
             replay(tampered, p)
         assert err.value.step_index == 0
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{"max_rounds": 1}, {"max_rounds": 3}, {"max_rounds": 10}, {"max_relator_len": 3}],
+        ids=["rounds1", "rounds3", "rounds10", "len3"],
+    )
+    @pytest.mark.parametrize("name", ["german", "korean", "turkish"])
+    def test_replay_reproduces_bound_stopped_verdict(self, name, limits):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        p = to_presentation(builtin_dataset(name))
+        verdict, trace = simplify(p, **limits)
+        assert replay(trace, p) == verdict
+
+    def test_length_bound_stop_leaves_normalized_presentation(self):
+        # Eliminating b := a makes the two long relators equal.
+        p = pres(DE, "a b^-1", "c a c a", "c b c b")
+        verdict, trace = simplify(p, max_relator_len=3)
+        assert verdict.remaining.relators == (w(DE, "c a c a"),)
+        assert replay(trace, p) == verdict
+
+    def test_tampered_solution_detected(self):
+        p = pres(DE, "a", "b a^-1", "c b^-1")
+        _, trace = simplify(p)
+        bad_step = replace(trace.steps[1], solution=concat(trace.steps[1].solution, w(DE, "z")))
+        steps = trace.steps[:1] + (bad_step,) + trace.steps[2:]
+        with pytest.raises(TraceInvalidError) as err:
+            replay(EliminationTrace(steps, trace.final), p)
+        assert err.value.step_index == 1
+
+    def test_one_step_too_many_detected(self):
+        p = pres(DE, "a", "b a^-1", "c b^-1")
+        _, trace = simplify(p)
+        steps = trace.steps + trace.steps[-1:]
+        with pytest.raises(TraceInvalidError) as err:
+            replay(EliminationTrace(steps, trace.final), p)
+        assert err.value.step_index == len(trace.steps)
 
 
 class TestVerdictText:

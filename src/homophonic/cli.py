@@ -33,9 +33,19 @@ EXIT_INCONSISTENT = 3
 TURKISH_REFERENCE_RANK = 22
 
 
+def _bound(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_limit_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
-    sub.add_argument("--max-relator-len", type=int, default=DEFAULT_MAX_RELATOR_LEN)
+    sub.add_argument("--max-rounds", type=_bound, default=DEFAULT_MAX_ROUNDS)
+    sub.add_argument("--max-relator-len", type=_bound, default=DEFAULT_MAX_RELATOR_LEN)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +192,10 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
         sys.stderr.reconfigure(encoding="utf-8")
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its message
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

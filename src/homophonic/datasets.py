@@ -64,6 +64,7 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
     language: str | None = None
     glyphs: list[str] = []
     records: list[RelationRecord] = []
+    record_lines: list[int] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -93,28 +94,28 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
             if kind not in _KIND_NAMES:
                 raise DatasetError(f"unknown record kind {kind!r}", lineno, source)
             records.append(RelationRecord(kind, lhs, rhs, gloss, ref))
+            record_lines.append(lineno)
     if language is None:
         raise DatasetError("missing @language header", source=source)
     if not glyphs:
         raise DatasetError("missing @alphabet header", source=source)
     dataset = LanguageDataset(language, tuple(glyphs), tuple(records))
-    _validate(dataset, source)
+    _validate(dataset, source, record_lines)
     return dataset
 
 
-def _validate(dataset: LanguageDataset, source: str) -> None:
+def _validate(dataset: LanguageDataset, source: str, record_lines: list[int]) -> None:
     try:
         alphabet = dataset.alphabet()
     except ValueError as exc:
         raise DatasetError(str(exc), source=source) from None
-    for n, record in enumerate(dataset.records):
+    for lineno, record in zip(record_lines, dataset.records):
         for side in (record.lhs, record.rhs):
             try:
                 _side_word(alphabet, dataset.language, record.kind, side)
             except ValueError as exc:
                 raise DatasetError(
-                    f"record {n} ({record.lhs!r} = {record.rhs!r}): {exc}",
-                    source=source,
+                    f"record ({record.lhs!r} = {record.rhs!r}): {exc}", lineno, source
                 ) from None
 
 

@@ -179,19 +179,17 @@ def _canonical_relator_key(w: Word) -> tuple:
 
 
 def normalize(p: Presentation) -> Presentation:
-    """Drop empty relators and duplicates up to rotation and inversion."""
+    """Drop duplicate relators up to rotation and inversion; ``Presentation``
+    already keeps every relator nonempty and cyclically reduced."""
     seen: set[tuple] = set()
     relators: list[Word] = []
     origins: list[Provenance] = []
     for w, origin in zip(p.relators, p.origins):
-        core, _ = cyclic_reduce(w)
-        if not core:
-            continue
-        key = _canonical_relator_key(core)
+        key = _canonical_relator_key(w)
         if key in seen:
             continue
         seen.add(key)
-        relators.append(core)
+        relators.append(w)
         origins.append(origin)
     return Presentation(p.alphabet, tuple(relators), tuple(origins), p.live)
 

@@ -121,16 +121,26 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word; the empty word is the group identity."""
+    """A word, freely reduced on construction; the empty word is the identity."""
 
     letters: tuple[SignedLetter, ...] = ()
 
     def __post_init__(self):
+        language = self.letters[0].gen.language if self.letters else None
+        stack: list[SignedLetter] = []
         for i, sl in enumerate(self.letters):
-            if sl.sign not in (1, -1):
-                raise ValueError(f"bad sign {sl.sign} at position {i}")
-            if i and self.letters[i - 1] == sl.inverse():
-                raise ValueError(f"word is not freely reduced at position {i}")
+            gen, sign = sl
+            if sign not in (1, -1):
+                raise ValueError(f"bad sign {sign} at position {i}")
+            if gen.language != language:
+                raise AlphabetMismatchError(
+                    f"mixed alphabets: {language!r} and {gen.language!r}"
+                )
+            if stack and stack[-1].sign == -sign and stack[-1].gen == gen:
+                stack.pop()
+            else:
+                stack.append(sl)
+        object.__setattr__(self, "letters", tuple(stack))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -158,34 +168,9 @@ def letter_word(gen: Generator, sign: int = 1) -> Word:
     return Word((SignedLetter(gen, sign),))
 
 
-def _check_single_language(letters: Iterable[SignedLetter]) -> None:
-    language = None
-    for sl in letters:
-        if language is None:
-            language = sl.gen.language
-        elif sl.gen.language != language:
-            raise AlphabetMismatchError(
-                f"mixed alphabets: {language!r} and {sl.gen.language!r}"
-            )
-
-
 def free_reduce(raw: Iterable[SignedLetter]) -> Word:
-    """Cancel adjacent inverse pairs until none remain.
-
-    The result is the unique freely reduced word equal to the input in the
-    free group.
-    """
-    seq = list(raw)
-    _check_single_language(seq)
-    stack: list[SignedLetter] = []
-    for sl in seq:
-        if sl.sign not in (1, -1):
-            raise ValueError(f"bad sign {sl.sign}")
-        if stack and stack[-1] == sl.inverse():
-            stack.pop()
-        else:
-            stack.append(sl)
-    return Word(tuple(stack))
+    """The unique freely reduced word equal to ``raw`` in the free group."""
+    return Word(tuple(raw))
 
 
 def invert(w: Word) -> Word:

@@ -165,3 +165,31 @@ class TestReport:
         code, _, err = run(capsys, "report", str(tmp_path))
         assert code == 1
         assert "error:" in err
+
+
+class TestUsageErrors:
+    def test_unknown_command_exits_one(self, capsys):
+        code, out, err = run(capsys, "frobnicate")
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'frobnicate'" in err
+
+    def test_non_integer_bound_exits_one(self, capsys):
+        code, _, err = run(capsys, "simplify", GERMAN, "--max-rounds", "x")
+        assert code == 1
+        assert "argument --max-rounds: invalid int value: 'x'" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simplify", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: homophonic")
+        assert err == ""
+
+    @pytest.mark.parametrize("flag", ["--max-rounds", "--max-relator-len"])
+    @pytest.mark.parametrize("command", [["simplify", GERMAN], ["certify", GERMAN], ["report"]])
+    def test_negative_bound_rejected(self, capsys, command, flag):
+        code, out, err = run(capsys, *command, flag, "-4")
+        assert code == 1
+        assert out == ""
+        assert f"error: argument {flag}: must be non-negative, got -4" in err

@@ -55,6 +55,17 @@ class TestParsing:
             parse_dataset(text, source="bad.hq")
         assert "bad.hq:3" in str(err.value)
 
+    def test_bad_record_reports_its_line(self):
+        text = (
+            "@language xx\n@alphabet a b\n# comment\n"
+            "raw\ta\tb\tg\tr\n\nword\tac\ta\tg\tr\n"
+        )
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(text, source="bad.hq")
+        assert err.value.line == 6
+        assert str(err.value).startswith("bad.hq:6: ")
+        assert "unknown glyph 'c'" in str(err.value)
+
     def test_unknown_kind_rejected(self):
         text = "@language xx\n@alphabet a\noops\ta\ta\tg\tr\n"
         with pytest.raises(DatasetError):

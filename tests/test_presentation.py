@@ -255,6 +255,12 @@ class TestEliminationProperties:
                 assert after.free_rank == before.free_rank
                 assert after.torsion == before.torsion
 
+    def test_normalize_is_idempotent(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            p = random_presentation(rng)
+            assert normalize(normalize(p)) == normalize(p)
+
     def test_live_set_shrinks_by_one_per_step(self):
         rng = random.Random(13)
         for _ in range(100):

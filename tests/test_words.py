@@ -78,6 +78,21 @@ class TestFreeReduce:
         with pytest.raises(AlphabetMismatchError):
             free_reduce(raw)
 
+    def test_construction_reduces(self):
+        a, b = DE.generator("a"), DE.generator("b")
+        raw = (SignedLetter(a, 1), SignedLetter(a, -1), SignedLetter(b, 1))
+        assert Word(raw) == Word((SignedLetter(b, 1),))
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_bad_sign_rejected(self, sign):
+        with pytest.raises(ValueError, match="bad sign"):
+            Word((SignedLetter(DE.generator("a"), sign),))
+
+    def test_construction_rejects_mixed_alphabets(self):
+        raw = (SignedLetter(DE.generator("a"), 1), SignedLetter(TR.generator("a"), 1))
+        with pytest.raises(AlphabetMismatchError):
+            Word(raw)
+
     def test_parity_and_length_never_grow(self):
         raw = list(w(DE, "a b b^-1 a a^-1 c").letters)
         reduced = free_reduce(raw)
@@ -194,6 +209,12 @@ class TestProperties:
     @given(raw_letters)
     def test_free_reduce_matches_oracle(self, raw):
         assert free_reduce(raw).letters == tuple(reduce_oracle(raw))
+
+    @given(raw_letters)
+    def test_unreduced_tuple_equals_reduced_word(self, raw):
+        expected = tuple(reduce_oracle(raw))
+        assert Word(tuple(raw)) == Word(expected)
+        assert Word(tuple(raw)).letters == expected
 
     @given(raw_letters)
     def test_inverse_law(self, raw):

@@ -134,9 +134,16 @@ def _side_word(alphabet: Alphabet, language: str, kind: str, side: str) -> Word:
 def load_dataset(path: str | Path) -> LanguageDataset:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise DatasetError(str(exc), source=str(path)) from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines as parse_dataset does; "?" stands in for the bad byte.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise DatasetError(message, line, str(path)) from None
     return parse_dataset(text, source=str(path))
 
 

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 from .words import (
     EMPTY_WORD,
     Alphabet,
+    AlphabetMismatchError,
     Generator,
     Word,
     concat,
@@ -93,6 +94,10 @@ class Presentation:
         for w in self.relators:
             if not w:
                 raise ValueError("empty relator")
+            if w.letters[0].gen.language != self.alphabet.language:
+                raise AlphabetMismatchError(
+                    f"relator {display(w)} is not over the {self.alphabet.language!r} alphabet"
+                )
             if len(w) >= 2 and w.letters[0] == w.letters[-1].inverse():
                 raise ValueError(f"relator {display(w)} is not cyclically reduced")
             for sl in w.letters:
@@ -105,15 +110,11 @@ class Presentation:
     def from_relations(
         cls, alphabet: Alphabet, relations: Sequence[Relation]
     ) -> "Presentation":
-        """Build a presentation on the full alphabet, dropping vacuous relations."""
-        relators: list[Word] = []
-        origins: list[Provenance] = []
-        for rel in relations:
-            core = relator_from_relation(rel)
-            if core:
-                relators.append(core)
-                origins.append(rel.provenance)
-        return cls(alphabet, tuple(relators), tuple(origins), frozenset(range(len(alphabet))))
+        """Build a presentation on the full alphabet, dropping vacuous relations
+        but keeping duplicates."""
+        cores = [relator_from_relation(rel) for rel in relations]
+        live = frozenset(range(len(alphabet)))
+        return _collect(alphabet, live, cores, [rel.provenance for rel in relations])
 
     @classmethod
     def from_relators(
@@ -178,20 +179,28 @@ def _canonical_relator_key(w: Word) -> tuple:
     )
 
 
-def normalize(p: Presentation) -> Presentation:
-    """Drop duplicate relators up to rotation and inversion; ``Presentation``
-    already keeps every relator nonempty and cyclically reduced."""
+def _collect(alphabet, live, cores, origins, dedup: bool = False) -> Presentation:
+    """A presentation of the nonempty cyclically reduced ``cores``; with
+    ``dedup``, also without duplicates up to rotation and inversion."""
     seen: set[tuple] = set()
-    relators: list[Word] = []
-    origins: list[Provenance] = []
-    for w, origin in zip(p.relators, p.origins):
-        key = _canonical_relator_key(w)
-        if key in seen:
+    kept: list[Word] = []
+    kept_origins: list[Provenance] = []
+    for w, origin in zip(cores, origins):
+        if not w:
             continue
-        seen.add(key)
-        relators.append(w)
-        origins.append(origin)
-    return Presentation(p.alphabet, tuple(relators), tuple(origins), p.live)
+        if dedup:
+            key = _canonical_relator_key(w)
+            if key in seen:
+                continue
+            seen.add(key)
+        kept.append(w)
+        kept_origins.append(origin)
+    return Presentation(alphabet, tuple(kept), tuple(kept_origins), live)
+
+
+def normalize(p: Presentation) -> Presentation:
+    """Drop duplicate relators up to rotation and inversion."""
+    return _collect(p.alphabet, p.live, p.relators, p.origins, dedup=True)
 
 
 def solve_for(relator: Word, g: Generator) -> Word:
@@ -216,26 +225,15 @@ def eliminate(
     """Eliminate ``g`` using the relator at ``relator_index``.
 
     The relator must contain ``g`` exactly once.  The solution is
-    substituted into all other relators, which are re-reduced; empty
-    relators are dropped and ``g`` leaves the live set.
+    substituted into every relator and the cyclic cores are normalized, so
+    the solved relator, now empty, drops out; ``g`` leaves the live set.
     """
     if not 0 <= relator_index < len(p.relators):
         raise NotEliminableError(f"no relator at index {relator_index}")
     solution = solve_for(p.relators[relator_index], g)
-    relators: list[Word] = []
-    origins: list[Provenance] = []
-    for j, (w, origin) in enumerate(zip(p.relators, p.origins)):
-        if j == relator_index:
-            continue
-        core, _ = cyclic_reduce(substitute(w, g, solution))
-        if core:
-            relators.append(core)
-            origins.append(origin)
+    cores = [cyclic_reduce(substitute(w, g, solution))[0] for w in p.relators]
     step = EliminationStep(g, solution, relator_index, p.origins[relator_index])
-    reduced = Presentation(
-        p.alphabet, tuple(relators), tuple(origins), p.live - {g.id}
-    )
-    return reduced, step
+    return _collect(p.alphabet, p.live - {g.id}, cores, p.origins, dedup=True), step
 
 
 def eliminable(p: Presentation) -> list[tuple[int, Generator]]:
@@ -272,7 +270,6 @@ def _run(p: Presentation, choose, max_rounds: float, max_relator_len: float):
             break
         p, step = eliminate(p, choice[1], choice[0])
         steps.append(step)
-        p = normalize(p)
         if any(len(w) > max_relator_len for w in p.relators):
             reason = "relator length limit exceeded"
             break

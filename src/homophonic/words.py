@@ -185,14 +185,15 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split ``w`` as conjugator * core * conjugator^-1.
 
     The core is cyclically reduced: its first and last letters are not
-    mutually inverse.  The core is empty only when ``w`` is empty.
+    mutually inverse.  It is ``w`` itself when nothing peels off, and empty
+    only when ``w`` is empty.
     """
     ls = w.letters
     i, j = 0, len(ls)
     while j - i >= 2 and ls[i] == ls[j - 1].inverse():
         i += 1
         j -= 1
-    return Word(ls[i:j]), Word(ls[:i])
+    return (Word(ls[i:j]), Word(ls[:i])) if i else (w, EMPTY_WORD)
 
 
 def occurrences(w: Word, g: Generator) -> int:
@@ -201,9 +202,11 @@ def occurrences(w: Word, g: Generator) -> int:
 
 
 def substitute(w: Word, g: Generator, replacement: Word) -> Word:
-    """Replace every signed occurrence of ``g`` by ``replacement`` and reduce."""
+    """Replace every signed ``g`` by ``replacement`` and reduce; ``w`` if ``g`` is absent."""
     if occurrences(replacement, g):
         raise SelfReferenceError(f"replacement for {g.glyph!r} contains itself")
+    if not occurrences(w, g):
+        return w
     inverse_replacement = invert(replacement)
     out: list[SignedLetter] = []
     for sl in w.letters:

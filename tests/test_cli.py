@@ -93,6 +93,14 @@ class TestSimplify:
         assert code == 1
         assert "error:" in err
 
+    def test_non_utf8_dataset_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "bad.hq"
+        path.write_bytes(b"\xff\xfe@language de\n")
+        code, out, err = run(capsys, "simplify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}:1: ")
+
     def test_round_limit_leaves_unresolved(self, capsys):
         code, out, _ = run(capsys, "simplify", GERMAN, "--max-rounds", "3")
         assert code == 2

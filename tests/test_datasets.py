@@ -66,6 +66,20 @@ class TestParsing:
         assert str(err.value).startswith("bad.hq:6: ")
         assert "unknown glyph 'c'" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"\xff\xfe@language de\n", 1), (b"@language de\n@alphabet a\n# caf\xe9\n", 3)],
+        ids=["first-line", "third-line"],
+    )
+    def test_non_utf8_file_reports_its_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.hq"
+        path.write_bytes(data)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"{path}:{line}: ")
+        assert "not UTF-8" in str(err.value)
+
     def test_unknown_kind_rejected(self):
         text = "@language xx\n@alphabet a\noops\ta\ta\tg\tr\n"
         with pytest.raises(DatasetError):
@@ -132,6 +146,11 @@ class TestBuiltinCorpora:
         assert all(len(g) == 1 for g in d.glyphs)
         kinds = {r.kind for r in d.records}
         assert kinds == {"word", "raw"}
+
+    def test_korean_presentation_keeps_duplicate_relators(self):
+        # One row per non-vacuous record for the certificate; only the
+        # simplifier drops duplicates.
+        assert len(to_presentation(builtin_dataset("korean")).relators) == 38
 
     def test_turkish_shape(self):
         d = builtin_dataset("turkish")

@@ -29,6 +29,7 @@ from homophonic.presentation import (
 from homophonic.words import (
     EMPTY_WORD,
     Alphabet,
+    AlphabetMismatchError,
     Word,
     concat,
     cyclic_reduce,
@@ -92,6 +93,19 @@ class TestEliminate:
         reduced, _ = eliminate(p, DE.generator("b"), 0)
         assert reduced.relators == (w(DE, "a c^-1"),)
 
+    def test_relators_made_equal_are_kept_once(self):
+        # Eliminating b := a turns c b c b into a second copy of c a c a.
+        p = pres(DE, "a b^-1", "c a c a", "c b c b")
+        reduced, _ = eliminate(p, DE.generator("b"), 0)
+        assert reduced.relators == (w(DE, "c a c a"),)
+        assert reduced.origins == (p.origins[1],)
+
+    def test_relators_without_the_generator_pass_through(self):
+        p = pres(DE, "a b^-1", "c d c d", "b c")
+        reduced, _ = eliminate(p, DE.generator("b"), 0)
+        assert reduced.relators[0] is p.relators[1]
+        assert reduced.relators[1] == w(DE, "a c")
+
 
 class TestSimplify:
     def test_no_relators_means_free(self):
@@ -123,6 +137,13 @@ class TestSimplify:
         verdict, trace = simplify(p)
         assert isinstance(verdict, FreeOfRank)
         assert len(trace.steps) == len(DE) - len(trace.final.live)
+
+    def test_relator_over_another_alphabet_rejected(self):
+        # x is generator 0 of its alphabet; read as a it would free a and c.
+        xyz = Alphabet("tr", "xyz")
+        rel = Relation(parse_word(xyz, "x y"), EMPTY_WORD)
+        with pytest.raises(AlphabetMismatchError):
+            Presentation.from_relations(Alphabet("de", "abc"), [rel])
 
     def test_duplicate_relators_collapse(self):
         p = pres(DE, "a b^-1", "b a^-1", "b^-1 a")
@@ -260,6 +281,14 @@ class TestEliminationProperties:
         for _ in range(200):
             p = random_presentation(rng)
             assert normalize(normalize(p)) == normalize(p)
+
+    def test_eliminate_returns_a_normalized_presentation(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            p = random_presentation(rng)
+            for index, g in eliminable(p):
+                reduced = eliminate(p, g, index)[0]
+                assert normalize(reduced) == reduced
 
     def test_live_set_shrinks_by_one_per_step(self):
         rng = random.Random(13)

@@ -147,6 +147,12 @@ class TestCyclicReduce:
     def test_empty(self):
         assert cyclic_reduce(EMPTY_WORD) == (EMPTY_WORD, EMPTY_WORD)
 
+    def test_cyclically_reduced_word_is_its_own_core(self):
+        word = w(DE, "w a g^-1")
+        core, conj = cyclic_reduce(word)
+        assert core is word
+        assert conj == EMPTY_WORD
+
 
 class TestSubstitute:
     def test_trivializing_one_generator(self):
@@ -157,6 +163,14 @@ class TestSubstitute:
     def test_no_occurrence_is_identity(self):
         word = w(DE, "a b")
         assert substitute(word, DE.generator("c"), w(DE, "w")) == word
+
+    def test_no_occurrence_returns_the_word_itself(self):
+        word = w(DE, "a b^-1 a")
+        assert substitute(word, DE.generator("c"), w(DE, "w")) is word
+
+    def test_self_reference_checked_before_occurrence(self):
+        with pytest.raises(SelfReferenceError):
+            substitute(w(DE, "a"), DE.generator("g"), w(DE, "a g"))
 
     def test_replacing_whole_word(self):
         assert substitute(w(DE, "g"), DE.generator("g"), w(DE, "h k")) == w(DE, "h k")

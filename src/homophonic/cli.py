@@ -54,19 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simplify homophone-relation quotients of free groups.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    inert = "no effect: --machine lines always use ^-1 and no other line prints an inverse"
 
     reduce_cmd = commands.add_parser("reduce", help="freely reduce a word")
     reduce_cmd.set_defaults(handler=cmd_reduce)
     reduce_cmd.add_argument("alphabet_file", help="dataset file providing the alphabet")
     reduce_cmd.add_argument("word", help="space-separated glyphs, ^-1 marks inverses")
-    reduce_cmd.add_argument("--ascii", action="store_true")
+    reduce_cmd.add_argument("--ascii", action="store_true", help="print inverses as ^-1, not ⁻¹")
 
     simplify_cmd = commands.add_parser("simplify", help="simplify a dataset to a verdict")
     simplify_cmd.set_defaults(handler=cmd_simplify)
     simplify_cmd.add_argument("dataset")
     simplify_cmd.add_argument("--trace", action="store_true")
     simplify_cmd.add_argument("--machine", action="store_true")
-    simplify_cmd.add_argument("--ascii", action="store_true")
+    simplify_cmd.add_argument("--ascii", action="store_true", help=inert)
     _add_limit_flags(simplify_cmd)
 
     certify_cmd = commands.add_parser(
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify_cmd.set_defaults(handler=cmd_certify)
     certify_cmd.add_argument("dataset")
-    certify_cmd.add_argument("--ascii", action="store_true")
+    certify_cmd.add_argument("--ascii", action="store_true", help="no effect: prints no inverse")
     _add_limit_flags(certify_cmd)
 
     decompose_cmd = commands.add_parser(
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory holding german.hq, korean.hq, turkish.hq (bundled by default)",
     )
     report_cmd.add_argument("--machine", action="store_true")
-    report_cmd.add_argument("--ascii", action="store_true")
+    report_cmd.add_argument("--ascii", action="store_true", help=inert)
     _add_limit_flags(report_cmd)
 
     return parser

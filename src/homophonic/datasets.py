@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import hangul
 from .presentation import Presentation, Provenance, Relation
-from .words import Alphabet, SignedLetter, Word, free_reduce
+from .words import Alphabet, AlphabetError, SignedLetter, Word, free_reduce
 
 KOREAN_LANGUAGE_TAG = "ko"
 RECORD_FIELDS = 5
@@ -80,6 +80,12 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
                 language = value.strip()
             elif keyword == "@alphabet":
                 glyphs.extend(value.split())
+                # Alphabet owns the glyph rules.  The last one built checks the
+                # records below, where its language plays no part.
+                try:
+                    alphabet = Alphabet("", glyphs)
+                except AlphabetError as exc:
+                    raise DatasetError(str(exc), lineno, source) from None
             else:
                 raise DatasetError(f"unknown header {keyword!r}", lineno, source)
         else:
@@ -99,24 +105,15 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
         raise DatasetError("missing @language header", source=source)
     if not glyphs:
         raise DatasetError("missing @alphabet header", source=source)
-    dataset = LanguageDataset(language, tuple(glyphs), tuple(records))
-    _validate(dataset, source, record_lines)
-    return dataset
-
-
-def _validate(dataset: LanguageDataset, source: str, record_lines: list[int]) -> None:
-    try:
-        alphabet = dataset.alphabet()
-    except ValueError as exc:
-        raise DatasetError(str(exc), source=source) from None
-    for lineno, record in zip(record_lines, dataset.records):
+    for lineno, record in zip(record_lines, records):
         for side in (record.lhs, record.rhs):
             try:
-                _side_word(alphabet, dataset.language, record.kind, side)
+                _side_word(alphabet, language, record.kind, side)
             except ValueError as exc:
                 raise DatasetError(
                     f"record ({record.lhs!r} = {record.rhs!r}): {exc}", lineno, source
                 ) from None
+    return LanguageDataset(language, tuple(glyphs), tuple(records))
 
 
 def _side_word(alphabet: Alphabet, language: str, kind: str, side: str) -> Word:

@@ -91,20 +91,23 @@ class Presentation:
     def __post_init__(self):
         if len(self.relators) != len(self.origins):
             raise ValueError("origins must align with relators")
+        language, gens = self.alphabet.language, self.alphabet.generators
         for w in self.relators:
             if not w:
                 raise ValueError("empty relator")
-            if w.letters[0].gen.language != self.alphabet.language:
-                raise AlphabetMismatchError(
-                    f"relator {display(w)} is not over the {self.alphabet.language!r} alphabet"
-                )
-            if len(w) >= 2 and w.letters[0] == w.letters[-1].inverse():
-                raise ValueError(f"relator {display(w)} is not cyclically reduced")
-            for sl in w.letters:
-                if sl.gen.id not in self.live:
-                    raise ValueError(
-                        f"relator {display(w)} uses eliminated generator {sl.gen.glyph!r}"
+            # By glyph and language: equal alphabets are separate objects, and
+            # Generator.__eq__ costs too much to call for every round.
+            for g in w.counts:
+                known = 0 <= g.id < len(gens) and gens[g.id].glyph == g.glyph
+                if not known or g.language != language:
+                    raise AlphabetMismatchError(
+                        f"relator {display(w)} is not over the {language!r} alphabet"
                     )
+                if g.id not in self.live:
+                    raise ValueError(f"relator {display(w)} uses eliminated generator {g.glyph!r}")
+            first, last = w.letters[0], w.letters[-1]
+            if len(w) >= 2 and first.sign == -last.sign and first.gen.id == last.gen.id:
+                raise ValueError(f"relator {display(w)} is not cyclically reduced")
 
     @classmethod
     def from_relations(
@@ -169,16 +172,6 @@ class EliminationTrace:
     final: Presentation
 
 
-def _canonical_relator_key(w: Word) -> tuple:
-    """Least rotation of the relator or its inverse; dedup key."""
-    seq = [(sl.gen.id, sl.sign) for sl in w.letters]
-    inv = [(g, -s) for g, s in reversed(seq)]
-    n = len(seq)
-    return min(
-        tuple(variant[k:] + variant[:k]) for variant in (seq, inv) for k in range(n)
-    )
-
-
 def _collect(alphabet, live, cores, origins, dedup: bool = False) -> Presentation:
     """A presentation of the nonempty cyclically reduced ``cores``; with
     ``dedup``, also without duplicates up to rotation and inversion."""
@@ -189,10 +182,9 @@ def _collect(alphabet, live, cores, origins, dedup: bool = False) -> Presentatio
         if not w:
             continue
         if dedup:
-            key = _canonical_relator_key(w)
-            if key in seen:
+            if w.cyclic_key in seen:
                 continue
-            seen.add(key)
+            seen.add(w.cyclic_key)
         kept.append(w)
         kept_origins.append(origin)
     return Presentation(alphabet, tuple(kept), tuple(kept_origins), live)
@@ -238,15 +230,7 @@ def eliminate(
 
 def eliminable(p: Presentation) -> list[tuple[int, Generator]]:
     """All (relator index, generator) pairs where the generator occurs once."""
-    out: list[tuple[int, Generator]] = []
-    for i, w in enumerate(p.relators):
-        counts: dict[Generator, int] = {}
-        for sl in w.letters:
-            counts[sl.gen] = counts.get(sl.gen, 0) + 1
-        for g in sorted(counts, key=lambda g: g.id):
-            if counts[g] == 1:
-                out.append((i, g))
-    return out
+    return [(i, g) for i, w in enumerate(p.relators) for g, n in w.counts.items() if n == 1]
 
 
 def _greedy_pick(p: Presentation, candidates: list[tuple[int, Generator]]):

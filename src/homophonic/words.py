@@ -8,8 +8,12 @@ here is a pure function on immutable values.
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from functools import cached_property
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 INVERSE_MARK = "⁻¹"  # superscript minus one
 ASCII_INVERSE_MARK = "^-1"
@@ -142,6 +146,20 @@ class Word:
                 stack.append(sl)
         object.__setattr__(self, "letters", tuple(stack))
 
+    @cached_property
+    def counts(self) -> Mapping[Generator, int]:
+        """Occurrences of each generator, ignoring sign, in order of id; 0 if absent."""
+        gens = sorted((sl.gen for sl in self.letters), key=attrgetter("id"))
+        return MappingProxyType(Counter(gens))
+
+    @cached_property
+    def cyclic_key(self) -> tuple[int, ...]:
+        """Least rotation of the word or of its inverse, letters as ±(id+1); equal
+        exactly for words of one alphabet that are equal up to rotation and inversion."""
+        seq = tuple(sl.sign * (sl.gen.id + 1) for sl in self.letters)
+        inv = tuple(-x for x in reversed(seq))
+        return min((v[k:] + v[:k] for v in (seq, inv) for k in range(len(seq))), default=())
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -198,7 +216,7 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
 def occurrences(w: Word, g: Generator) -> int:
     """How many letters of ``w`` reference ``g``, ignoring sign."""
-    return sum(1 for sl in w.letters if sl.gen == g)
+    return w.counts[g]
 
 
 def substitute(w: Word, g: Generator, replacement: Word) -> Word:

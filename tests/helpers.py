@@ -52,6 +52,18 @@ def strip_outer_oracle(
     return core, conjugator
 
 
+def count_oracle(letters, g) -> int:
+    """How many letters name ``g``, ignoring sign, by a plain scan."""
+    return sum(1 for sl in letters if sl.gen == g)
+
+
+def cyclic_variants(letters) -> list[tuple[SignedLetter, ...]]:
+    """Every rotation of ``letters`` and of their inverse, listed in full."""
+    forward = list(letters)
+    backward = [SignedLetter(sl.gen, -sl.sign) for sl in reversed(forward)]
+    return [tuple(seq[k:] + seq[:k]) for seq in (forward, backward) for k in range(len(seq) or 1)]
+
+
 def random_letters(rng: random.Random, alphabet: Alphabet, max_len: int) -> list[SignedLetter]:
     n = rng.randrange(max_len + 1)
     return [

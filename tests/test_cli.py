@@ -101,6 +101,14 @@ class TestSimplify:
         assert out == ""
         assert err.startswith(f"error: {path}:1: ")
 
+    def test_duplicate_alphabet_glyph_exits_one_with_its_line(self, capsys, tmp_path):
+        path = tmp_path / "dup.hq"
+        path.write_text("@language de\n@alphabet a b\n# c\n@alphabet a c\n", encoding="utf-8")
+        code, out, err = run(capsys, "simplify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}:4: duplicate glyph 'a'\n"
+
     def test_round_limit_leaves_unresolved(self, capsys):
         code, out, _ = run(capsys, "simplify", GERMAN, "--max-rounds", "3")
         assert code == 2

@@ -106,6 +106,20 @@ class TestParsing:
         with pytest.raises(DatasetError):
             parse_dataset("@language xx\n@alphabet a a\n")
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("@language de\n@alphabet a b\n# c\n@alphabet a c\n", 4, "duplicate glyph 'a'"),
+            ("@language de\n@alphabet a bc\n", 2, "glyph 'bc' is not a single grapheme"),
+        ],
+        ids=["duplicate", "nonatomic"],
+    )
+    def test_bad_alphabet_glyph_reports_its_line(self, text, line, message):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(text, source="bad.hq")
+        assert err.value.line == line
+        assert str(err.value).startswith(f"bad.hq:{line}: {message}")
+
     def test_language_keyword_must_match_exactly(self):
         with pytest.raises(DatasetError) as err:
             parse_dataset("@languagex de\n@alphabet a\n")

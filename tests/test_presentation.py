@@ -145,6 +145,23 @@ class TestSimplify:
         with pytest.raises(AlphabetMismatchError):
             Presentation.from_relations(Alphabet("de", "abc"), [rel])
 
+    def test_relator_over_another_alphabet_of_the_language_rejected(self):
+        # x and y are ids 0 and 1 of their alphabet, but not a and b.
+        rel = Relation(parse_word(Alphabet("de", "xy"), "x y"), EMPTY_WORD)
+        with pytest.raises(AlphabetMismatchError):
+            Presentation.from_relations(Alphabet("de", "abc"), [rel])
+
+    def test_relator_generator_outside_the_alphabet_rejected(self):
+        # d is id 3, past the end of a b c: not an eliminated generator.
+        rel = Relation(parse_word(Alphabet("de", "abcd"), "d a"), EMPTY_WORD)
+        with pytest.raises(AlphabetMismatchError):
+            Presentation.from_relations(Alphabet("de", "abc"), [rel])
+
+    def test_relator_over_an_equal_alphabet_accepted(self):
+        rel = Relation(parse_word(Alphabet("de", "abc"), "a b"), EMPTY_WORD)
+        p = Presentation.from_relations(Alphabet("de", "abc"), [rel])
+        assert p.relators == (rel.lhs,)
+
     def test_duplicate_relators_collapse(self):
         p = pres(DE, "a b^-1", "b a^-1", "b^-1 a")
         assert len(normalize(p).relators) == 1
@@ -289,6 +306,20 @@ class TestEliminationProperties:
             for index, g in eliminable(p):
                 reduced = eliminate(p, g, index)[0]
                 assert normalize(reduced) == reduced
+
+    def test_passed_through_relators_keep_their_derived_facts(self):
+        rng = random.Random(23)
+        passed = 0
+        for _ in range(200):
+            p = random_presentation(rng)
+            facts = {id(w): (w.counts, w.cyclic_key) for w in p.relators}
+            for index, g in eliminable(p):
+                for w in eliminate(p, g, index)[0].relators:
+                    if any(w is u for u in p.relators):
+                        counts, key = facts[id(w)]
+                        assert w.counts is counts and w.cyclic_key is key
+                        passed += 1
+        assert passed > 100, passed
 
     def test_live_set_shrinks_by_one_per_step(self):
         rng = random.Random(13)

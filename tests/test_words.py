@@ -1,8 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SCRATCH, random_letters, reduce_oracle, strip_outer_oracle
+from helpers import (
+    SCRATCH,
+    count_oracle,
+    cyclic_variants,
+    random_letters,
+    reduce_oracle,
+    strip_outer_oracle,
+)
 from homophonic.words import (
     EMPTY_WORD,
     Alphabet,
@@ -26,6 +35,7 @@ from homophonic.words import (
 
 DE = Alphabet("de", "abcdefghijklmnopqrstuvwxyzäöüß")
 TR = Alphabet("tr", "bcçdfgğhjklmnprsştvyzaeıioöuü")
+ABC = Alphabet("xx", "abc")
 
 
 def w(alphabet, text):
@@ -214,6 +224,11 @@ raw_letters = st.builds(
 )
 
 
+def cyclically_reduced(rng, alphabet, max_len):
+    core, _ = strip_outer_oracle(tuple(reduce_oracle(random_letters(rng, alphabet, max_len))))
+    return Word(tuple(core))
+
+
 class TestProperties:
     @given(raw_letters)
     def test_free_reduce_idempotent(self, raw):
@@ -259,3 +274,32 @@ class TestProperties:
             [sl for sl in replacement_raw if sl.gen != g]
         )
         assert occurrences(substitute(word, g, replacement), g) == 0
+
+    @given(raw_letters)
+    def test_counts_match_a_plain_scan(self, raw):
+        word = free_reduce(raw)
+        for g in SCRATCH:
+            assert word.counts[g] == count_oracle(word.letters, g)
+        assert [g.id for g in word.counts] == sorted({sl.gen.id for sl in word.letters})
+        with pytest.raises(TypeError):
+            word.counts[SCRATCH[0]] = 1
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["rotation", "inverse rotation", "unrelated"]),
+    )
+    def test_cyclic_key_matches_rotation_oracle(self, seed, relation):
+        # Three letters and short words make unrelated pairs collide too.
+        rng = random.Random(seed)
+        u = cyclically_reduced(rng, ABC, 8)
+        if relation == "unrelated":
+            v = cyclically_reduced(rng, ABC, 8)
+        else:
+            seq = u.letters
+            if relation == "inverse rotation":
+                seq = tuple(SignedLetter(sl.gen, -sl.sign) for sl in reversed(seq))
+            k = rng.randrange(len(seq) or 1)
+            v = Word(seq[k:] + seq[:k])
+        same = v.letters in cyclic_variants(u.letters)
+        assert (u.cyclic_key == v.cyclic_key) == same
+        assert same or relation == "unrelated"

@@ -1,6 +1,7 @@
 """Homophone dataset files: format, validation, and the bundled corpora.
 
-A dataset file is UTF-8 text.  Header lines are ``@language <tag>`` and one
+A dataset file is UTF-8 text whose lines end at a line feed; a carriage
+return before it is dropped.  Header lines are ``@language <tag>`` and one
 or more ``@alphabet <glyph> <glyph> ...`` lines (concatenated in order);
 ``#`` starts a comment.  Record lines carry five tab-separated fields:
 
@@ -18,12 +19,13 @@ records hold "+"-separated generator glyphs on each side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 from . import hangul
 from .presentation import Presentation, Provenance, Relation
-from .words import Alphabet, AlphabetError, SignedLetter, Word, free_reduce
+from .words import Alphabet, AlphabetError, Word
 
 KOREAN_LANGUAGE_TAG = "ko"
 RECORD_FIELDS = 5
@@ -31,6 +33,8 @@ _KIND_NAMES = {"word": "word-pair", "raw": "raw-identity"}
 
 
 class DatasetError(ValueError):
+    record: int | None = None  # the bad record's index, when a dataset's relations fail
+
     def __init__(self, message: str, line: int | None = None, source: str | None = None):
         self.line = line
         self.source = source
@@ -57,7 +61,27 @@ class LanguageDataset:
     records: tuple[RelationRecord, ...]
 
     def alphabet(self) -> Alphabet:
+        return self._alphabet
+
+    @cached_property
+    def _alphabet(self) -> Alphabet:
         return Alphabet(self.language, self.glyphs)
+
+    @cached_property
+    def _relations(self) -> tuple[Relation, ...]:
+        """One relation per record, built once; raises naming the first bad record."""
+        alphabet, relations = self.alphabet(), []
+        for index, r in enumerate(self.records):
+            try:
+                lhs = _side_word(alphabet, self.language, r.kind, r.lhs)
+                rhs = _side_word(alphabet, self.language, r.kind, r.rhs)
+            except ValueError as exc:
+                error = DatasetError(f"record ({r.lhs!r} = {r.rhs!r}): {exc}")
+                error.record = index
+                raise error from None
+            provenance = Provenance(_KIND_NAMES[r.kind], r.lhs, r.rhs, r.gloss, r.ref)
+            relations.append(Relation(lhs, rhs, provenance))
+        return tuple(relations)
 
 
 def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
@@ -65,8 +89,8 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
     glyphs: list[str] = []
     records: list[RelationRecord] = []
     record_lines: list[int] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.rstrip("\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if line.startswith("@"):
@@ -80,10 +104,10 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
                 language = value.strip()
             elif keyword == "@alphabet":
                 glyphs.extend(value.split())
-                # Alphabet owns the glyph rules.  The last one built checks the
-                # records below, where its language plays no part.
+                # Alphabet owns the glyph rules; building one here puts a
+                # bad glyph on its line.
                 try:
-                    alphabet = Alphabet("", glyphs)
+                    Alphabet("", glyphs)
                 except AlphabetError as exc:
                     raise DatasetError(str(exc), lineno, source) from None
             else:
@@ -96,36 +120,30 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
                     lineno,
                     source,
                 )
-            kind, lhs, rhs, gloss, ref = fields
-            if kind not in _KIND_NAMES:
-                raise DatasetError(f"unknown record kind {kind!r}", lineno, source)
-            records.append(RelationRecord(kind, lhs, rhs, gloss, ref))
+            records.append(RelationRecord(*fields))
             record_lines.append(lineno)
     if language is None:
         raise DatasetError("missing @language header", source=source)
     if not glyphs:
         raise DatasetError("missing @alphabet header", source=source)
-    for lineno, record in zip(record_lines, records):
-        for side in (record.lhs, record.rhs):
-            try:
-                _side_word(alphabet, language, record.kind, side)
-            except ValueError as exc:
-                raise DatasetError(
-                    f"record ({record.lhs!r} = {record.rhs!r}): {exc}", lineno, source
-                ) from None
-    return LanguageDataset(language, tuple(glyphs), tuple(records))
+    dataset = LanguageDataset(language, tuple(glyphs), tuple(records))
+    try:
+        dataset._relations  # built once here, which validates every record
+    except DatasetError as exc:
+        raise DatasetError(str(exc), record_lines[exc.record], source) from None
+    return dataset
 
 
 def _side_word(alphabet: Alphabet, language: str, kind: str, side: str) -> Word:
     if kind == "raw":
         glyphs = side.split("+") if side else []
+    elif kind != "word":
+        raise ValueError(f"unknown record kind {kind!r}")
     elif language == KOREAN_LANGUAGE_TAG:
         glyphs = hangul.decompose_text(side)
     else:
         return alphabet.word(side)
-    return free_reduce(
-        SignedLetter(alphabet.generator(glyph, i), 1) for i, glyph in enumerate(glyphs)
-    )
+    return Word(tuple(alphabet.letter(glyph, i) for i, glyph in enumerate(glyphs)))
 
 
 def load_dataset(path: str | Path) -> LanguageDataset:
@@ -137,18 +155,30 @@ def load_dataset(path: str | Path) -> LanguageDataset:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # Count lines as parse_dataset does; "?" stands in for the bad byte.
-        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        # Lines end at "\n", as parse_dataset reads them.
+        line = data.count(b"\n", 0, exc.start) + 1
         message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
         raise DatasetError(message, line, str(path)) from None
     return parse_dataset(text, source=str(path))
 
 
 def serialize_dataset(dataset: LanguageDataset) -> str:
-    lines = [f"@language {dataset.language}"]
-    lines.append("@alphabet " + " ".join(dataset.glyphs))
+    """The text parse_dataset reads back as ``dataset``; refuses any other dataset."""
+    language = dataset.language
+    if not language or language != language.strip() or any(c in language for c in "\t\n\r"):
+        raise DatasetError(f"language tag {language!r} does not fit its header line")
+    if not dataset.glyphs:
+        raise DatasetError("an alphabet needs at least one glyph")
+    for glyph in dataset.glyphs:
+        if glyph.split() != [glyph]:
+            raise DatasetError(f"glyph {glyph!r} is empty or holds whitespace")
+    lines = [f"@language {language}", "@alphabet " + " ".join(dataset.glyphs)]
     for r in dataset.records:
-        lines.append("\t".join((r.kind, r.lhs, r.rhs, r.gloss, r.ref)))
+        line = "\t".join((r.kind, r.lhs, r.rhs, r.gloss, r.ref))
+        if line.count("\t") != RECORD_FIELDS - 1 or "\n" in line or "\r" in line:
+            raise DatasetError(f"record ({r.lhs!r} = {r.rhs!r}) holds a tab or a line break")
+        lines.append(line)
+    dataset._relations  # a glyph or record that fails here would fail to parse back
     return "\n".join(lines) + "\n"
 
 
@@ -157,24 +187,11 @@ def save_dataset(dataset: LanguageDataset, path: str | Path) -> None:
 
 
 def to_relations(dataset: LanguageDataset) -> list[Relation]:
-    alphabet = dataset.alphabet()
-    relations = []
-    for record in dataset.records:
-        lhs = _side_word(alphabet, dataset.language, record.kind, record.lhs)
-        rhs = _side_word(alphabet, dataset.language, record.kind, record.rhs)
-        provenance = Provenance(
-            kind=_KIND_NAMES[record.kind],
-            lhs=record.lhs,
-            rhs=record.rhs,
-            gloss=record.gloss,
-            ref=record.ref,
-        )
-        relations.append(Relation(lhs, rhs, provenance))
-    return relations
+    return list(dataset._relations)
 
 
 def to_presentation(dataset: LanguageDataset) -> Presentation:
-    return Presentation.from_relations(dataset.alphabet(), to_relations(dataset))
+    return Presentation.from_relations(dataset.alphabet(), dataset._relations)
 
 
 BUILTIN_LANGUAGES = ("german", "korean", "turkish")

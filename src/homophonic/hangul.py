@@ -90,18 +90,19 @@ class SyllableDecomposition:
         return (self.lead, self.vowel) + self.tail
 
 
-def decompose_syllable(syllable: str) -> SyllableDecomposition:
+def _jamo(syllable: str, position: int | None = None) -> tuple[str, ...]:
+    """Lead, vowel and tail of a syllable by the arithmetic of Unicode §3.12."""
     index = ord(syllable) - SYLLABLE_BASE
     if not 0 <= index < SYLLABLE_COUNT:
-        raise NotASyllableError(syllable)
-    lead = LEADS[index // (VOWEL_COUNT * TAIL_COUNT)]
-    vowel = VOWELS[(index // TAIL_COUNT) % VOWEL_COUNT]
-    tail_jamo = TAILS[index % TAIL_COUNT]
-    if tail_jamo is None:
-        tail: tuple[str, ...] = ()
-    else:
-        tail = TAIL_SPLIT.get(tail_jamo, (tail_jamo,))
-    return SyllableDecomposition(lead, vowel, tail)
+        raise NotASyllableError(syllable, position)
+    head = LEADS[index // (VOWEL_COUNT * TAIL_COUNT)], VOWELS[index // TAIL_COUNT % VOWEL_COUNT]
+    tail = TAILS[index % TAIL_COUNT]
+    return head if tail is None else head + TAIL_SPLIT.get(tail, (tail,))
+
+
+def decompose_syllable(syllable: str) -> SyllableDecomposition:
+    lead, vowel, *tail = _jamo(syllable)
+    return SyllableDecomposition(lead, vowel, tuple(tail))
 
 
 def compose_syllable(d: SyllableDecomposition) -> str:
@@ -127,10 +128,7 @@ def decompose_text(text: str) -> list[str]:
     """Flatten syllable text to jamo; every character must be a syllable."""
     out: list[str] = []
     for i, ch in enumerate(text):
-        try:
-            out.extend(decompose_syllable(ch).jamo())
-        except NotASyllableError:
-            raise NotASyllableError(ch, i) from None
+        out += _jamo(ch, i)
     return out
 
 

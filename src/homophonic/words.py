@@ -91,7 +91,7 @@ class Alphabet:
             seen.add(glyph)
             gens.append(Generator(len(gens), glyph, language))
         self.generators: tuple[Generator, ...] = tuple(gens)
-        self._by_glyph = {g.glyph: g for g in self.generators}
+        self._letters = {g.glyph: SignedLetter(g, 1) for g in self.generators}
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -100,7 +100,7 @@ class Alphabet:
         return iter(self.generators)
 
     def __contains__(self, glyph: str) -> bool:
-        return unicodedata.normalize("NFC", glyph) in self._by_glyph
+        return unicodedata.normalize("NFC", glyph) in self._letters
 
     def __getitem__(self, gen_id: int) -> Generator:
         return self.generators[gen_id]
@@ -108,19 +108,21 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet({self.language!r}, {len(self)} generators)"
 
-    def generator(self, glyph: str, position: int | None = None) -> Generator:
-        g = self._by_glyph.get(unicodedata.normalize("NFC", glyph))
-        if g is None:
+    def letter(self, glyph: str, position: int | None = None) -> SignedLetter:
+        """The positive letter of ``glyph``, in any Unicode normal form."""
+        # Keys are NFC, so an exact hit is the letter NFC would find.
+        sl = self._letters.get(glyph) or self._letters.get(unicodedata.normalize("NFC", glyph))
+        if sl is None:
             raise UnknownGlyphError(glyph, position)
-        return g
+        return sl
+
+    def generator(self, glyph: str, position: int | None = None) -> Generator:
+        return self.letter(glyph, position).gen
 
     def word(self, text: str) -> "Word":
         """Tokenize plain text (no inverse marks) into a word, one generator
         per grapheme cluster."""
-        letters = []
-        for i, cluster in enumerate(split_graphemes(text)):
-            letters.append(SignedLetter(self.generator(cluster, i), 1))
-        return free_reduce(letters)
+        return Word(tuple(self.letter(c, i) for i, c in enumerate(split_graphemes(text))))
 
 
 @dataclass(frozen=True)
@@ -253,10 +255,10 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     """
     letters = []
     for i, token in enumerate(text.split()):
-        sign, body = 1, token
         for mark in (INVERSE_MARK, ASCII_INVERSE_MARK):
             if token.endswith(mark) and len(token) > len(mark):
-                sign, body = -1, token[: -len(mark)]
+                letters.append(alphabet.letter(token[: -len(mark)], i).inverse())
                 break
-        letters.append(SignedLetter(alphabet.generator(body, i), sign))
+        else:
+            letters.append(alphabet.letter(token, i))
     return free_reduce(letters)

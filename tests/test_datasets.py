@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homophonic.datasets import (
     BUILTIN_LANGUAGES,
@@ -80,6 +82,35 @@ class TestParsing:
         assert str(err.value).startswith(f"{path}:{line}: ")
         assert "not UTF-8" in str(err.value)
 
+    def test_only_newline_ends_a_line(self):
+        text = "@language de\n@alphabet a b\n# note\x0cpage\nword\tab\tba\tone\u2028two\tr\n"
+        d = parse_dataset(text)
+        assert d.records == (RelationRecord("word", "ab", "ba", "one\u2028two", "r"),)
+
+    def test_crlf_file_parses(self):
+        assert parse_dataset(SMALL.replace("\n", "\r\n")) == parse_dataset(SMALL)
+
+    def test_bad_record_after_a_form_feed_reports_its_line(self):
+        text = "@language de\n@alphabet a b\n# note\x0cpage\nword\tac\ta\tg\tr\n"
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(text, source="f.hq")
+        assert err.value.line == 4
+        assert str(err.value).startswith("f.hq:4: record ('ac' = 'a'): unknown glyph 'c'")
+
+    def test_non_utf8_byte_after_a_form_feed_reports_its_line(self, tmp_path):
+        path = tmp_path / "bad.hq"
+        path.write_bytes(b"@language de\n# note\x0cpage\n# caf\xe9\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"{path}:3: ")
+
+    def test_decomposed_letter_in_a_word_record_is_the_nfc_generator(self):
+        d = parse_dataset("@language de\n@alphabet w a ä g e\nword\twa\u0308ge\twage\tg\tr\n")
+        umlaut = to_relations(d)[0].lhs.letters[1].gen
+        assert umlaut == d.alphabet().generator("\u00e4")
+        assert umlaut.glyph == "\u00e4"
+
     def test_unknown_kind_rejected(self):
         text = "@language xx\n@alphabet a\noops\ta\ta\tg\tr\n"
         with pytest.raises(DatasetError):
@@ -146,6 +177,68 @@ class TestRoundTrip:
         text = serialize_dataset(d)
         assert GERMAN_ROW in text.splitlines()
 
+    @pytest.mark.parametrize(
+        "language, glyphs, record, named",
+        [
+            ("de", ("a",), ("word", "a", "a", "x\ty", "r"), "record ('a' = 'a')"),
+            ("de", ("a",), ("word", "a", "a", "x\ny", "r"), "record ('a' = 'a')"),
+            ("de", ("a",), ("word", "a", "a", "g", "r\r"), "record ('a' = 'a')"),
+            ("de", ("a",), ("raw", "a\t", "a", "g", "r"), "record ('a\\t' = 'a')"),
+            ("d\te", ("a",), None, "language tag 'd\\te'"),
+            ("de\n", ("a",), None, "language tag 'de\\n'"),
+            ("de\r", ("a",), None, "language tag 'de\\r'"),
+            ("de", ("a", " ", "b"), None, "glyph ' '"),
+            ("de", ("a", ""), None, "glyph ''"),
+            ("de", ("a\u2028",), None, "glyph 'a\\u2028'"),
+        ],
+        ids=[
+            "tab-in-gloss",
+            "newline-in-gloss",
+            "cr-in-ref",
+            "tab-in-lhs",
+            "tab-in-language",
+            "newline-in-language",
+            "cr-in-language",
+            "space-glyph",
+            "empty-glyph",
+            "line-separator-in-glyph",
+        ],
+    )
+    def test_serialize_refuses_what_cannot_parse_back(self, language, glyphs, record, named):
+        records = (RelationRecord(*record),) if record else ()
+        with pytest.raises(DatasetError) as err:
+            serialize_dataset(LanguageDataset(language, glyphs, records))
+        assert named in str(err.value)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_every_written_dataset_parses_back_equal(self, data):
+        def mostly(common, rare):
+            return data.draw(rare if data.draw(st.integers(0, 7)) == 0 else common)
+
+        plain = st.text(st.sampled_from("ab #@+\x0c\x1c\x85\u2028"), max_size=5)
+        with_breaks = st.text(st.sampled_from("ab #@+\t\n\r\x0c\u2028"), max_size=5)
+        language = mostly(st.sampled_from(["de", "d e", "#"]), st.just(" de") | with_breaks)
+        good = ["a", "b", "\u00e4", "#", "@"]
+        glyphs = mostly(
+            st.lists(st.sampled_from(good), min_size=1, max_size=4, unique=True),
+            st.lists(st.sampled_from(good + [" ", "", "a b", "\x1c", "\u2028"]), max_size=4),
+        )
+        records = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = mostly(st.sampled_from(["word", "raw"]), st.just("oops"))
+            joiner = "+" if kind == "raw" else ""
+            side = st.lists(st.sampled_from(glyphs or ["a"]), max_size=3).map(joiner.join)
+            lhs, rhs = mostly(side, with_breaks), mostly(side, with_breaks)
+            gloss, ref = mostly(plain, with_breaks), mostly(plain, with_breaks)
+            records.append(RelationRecord(kind, lhs, rhs, gloss, ref))
+        d = LanguageDataset(language, tuple(glyphs), tuple(records))
+        try:
+            text = serialize_dataset(d)
+        except ValueError:
+            return
+        assert parse_dataset(text) == d
+
 
 class TestBuiltinCorpora:
     def test_german_shape(self):
@@ -189,6 +282,18 @@ class TestBuiltinCorpora:
         d = builtin_dataset(name)
         for relation in to_relations(d):
             assert relator_from_relation(relation), relation.provenance
+
+    def test_dataset_keeps_its_words_and_alphabet(self):
+        d = builtin_dataset("korean")
+        first, second = to_relations(d), to_relations(d)
+        assert all(a.lhs is b.lhs and a.rhs is b.rhs for a, b in zip(first, second))
+        assert d.alphabet() is d.alphabet()
+        assert to_presentation(d).alphabet is d.alphabet()
+
+    def test_dataset_built_in_code_names_its_bad_record(self):
+        d = LanguageDataset("de", ("a", "b"), (RelationRecord("word", "ab", "ac", "g", "r"),))
+        with pytest.raises(DatasetError, match=r"record \('ab' = 'ac'\): unknown glyph 'c'"):
+            to_presentation(d)
 
     def test_empty_dataset_has_no_relators(self):
         d = parse_dataset("@language xx\n@alphabet a\n")

@@ -73,6 +73,11 @@ class TestDecomposeText:
             decompose_text("수a")
         assert err.value.position == 1
 
+    def test_every_syllable_flattens_as_the_validated_codec_does(self):
+        syllables = [chr(SYLLABLE_BASE + i) for i in range(SYLLABLE_COUNT)]
+        expected = [j for s in syllables for j in decompose_syllable(s).jamo()]
+        assert decompose_text("".join(syllables)) == expected
+
     def test_length_is_sum_of_two_plus_tail(self):
         text = "넓다안일밖"
         expected = sum(2 + len(decompose_syllable(ch).tail) for ch in text)

@@ -61,6 +61,11 @@ class TestAlphabet:
         assert DE.generator(decomposed) == DE.generator("ä")
         assert split_graphemes("wa" + decomposed) == ["w", "a", "ä"]
 
+    def test_parse_word_reads_a_decomposed_letter_as_the_nfc_generator(self):
+        decomposed = "a\u0308"
+        assert parse_word(DE, f"w {decomposed} {decomposed}^-1 g") == parse_word(DE, "w g")
+        assert parse_word(DE, decomposed).letters[0].gen.glyph == "\u00e4"
+
     def test_word_tokenizes_grapheme_clusters(self):
         word = TR.word("kağan")
         assert [sl.gen.glyph for sl in word] == ["k", "a", "ğ", "a", "n"]

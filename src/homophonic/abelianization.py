@@ -9,6 +9,8 @@ here is exact integer arithmetic; Python integers never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import index
 from typing import Sequence
 
 from .presentation import FreeOfRank, Presentation, Trivial, Unresolved, Verdict
@@ -40,80 +42,62 @@ def exponent_matrix(p: Presentation) -> ExponentMatrix:
     return ExponentMatrix(ids, tuple(rows))
 
 
-def _find_pivot(rows: list[list[int]], start: int) -> tuple[int, int] | None:
-    """Smallest-magnitude nonzero entry in the trailing submatrix,
-    ties broken by row-major position."""
-    best: tuple[int, int] | None = None
-    best_val = 0
-    for i in range(start, len(rows)):
-        for j in range(start, len(rows[i])):
-            v = abs(rows[i][j])
-            if v and (best is None or v < best_val):
-                best, best_val = (i, j), v
-                if v == 1:
-                    return best
-    return best
-
-
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    Computed by exact row/column reduction around a smallest-magnitude
-    pivot; the zero matrix (and the empty one) gives an empty list.
+    Over sparse rows, row operations clear a smallest pivot's column, then
+    column operations, which touch the pivot row alone, clear its row; the
+    smallest remainder either leaves is the next pivot.  A gcd/lcm pass makes
+    the diagonal a divisibility chain.  Raises ``ValueError`` on ragged input
+    and ``TypeError`` on a non-integral entry.
     """
-    rows = [[int(x) for x in r] for r in matrix]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    if any(len(r) != nc for r in rows):
+    # Rows are {column: entry} dicts of the nonzeros.  Zero rows and repeated
+    # rows add nothing to the row lattice, so they are dropped.
+    unique = dict.fromkeys(tuple(map(index, r)) for r in matrix)
+    if len(set(map(len, unique))) > 1:
         raise ValueError("ragged matrix")
-    factors: list[int] = []
-    t = 0
-    while t < nr and t < nc:
-        pos = _find_pivot(rows, t)
-        if pos is None:
-            break
-        while True:
-            i0, j0 = pos
-            rows[t], rows[i0] = rows[i0], rows[t]
-            if j0 != t:
-                for row in rows:
-                    row[t], row[j0] = row[j0], row[t]
-            if rows[t][t] < 0:
-                rows[t] = [-x for x in rows[t]]
-            d = rows[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                q = rows[i][t] // d
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[t])]
-                if rows[i][t]:
-                    dirty = True
-            for j in range(t + 1, nc):
-                q = rows[t][j] // d
-                if q:
-                    for i in range(nr):
-                        rows[i][j] -= q * rows[i][t]
-                if rows[t][j]:
-                    dirty = True
-            if dirty:
-                pos = _find_pivot(rows, t)
-                continue
-            offender = next(
-                (
-                    i
-                    for i in range(t + 1, nr)
-                    if any(rows[i][j] % d for j in range(t + 1, nc))
-                ),
-                None,
-            )
-            if offender is None:
+    rows = [row for r in unique if (row := {j: x for j, x in enumerate(r) if x})]
+    diagonal: list[int] = []
+    while rows:
+        best = (0, 0, 0)
+        for k, row in enumerate(rows):
+            for j, x in row.items():
+                if not best[0] or abs(x) < best[0]:
+                    best = (abs(x), k, j)
+            if best[0] == 1:
                 break
-            # Pull the offending row up so the next sweep shrinks the pivot.
-            rows[t] = [a + b for a, b in zip(rows[t], rows[offender])]
-            pos = (t, t)
-        factors.append(rows[t][t])
-        t += 1
-    return factors
+        _, k, j = best
+        pivot = rows.pop(k)
+        while True:
+            d = pivot[j]
+            kept, smallest = [], None
+            for row in rows:
+                if j in row:
+                    q = row[j] // d
+                    for c, x in pivot.items():
+                        if y := row.get(c, 0) - q * x:
+                            row[c] = y
+                        else:
+                            row.pop(c, None)
+                    if j in row and (smallest is None or abs(row[j]) < abs(kept[smallest][j])):
+                        smallest = len(kept)
+                if row:
+                    kept.append(row)
+            rows = kept
+            if smallest is not None:
+                pivot, rows[smallest] = rows[smallest], pivot
+            elif rest := {c: x % d for c, x in pivot.items() if x % d}:
+                pivot = {j: d, **rest}
+                j = min(rest, key=lambda c: abs(rest[c]))
+            else:
+                diagonal.append(abs(d))
+                break
+    diagonal.sort()
+    for a in range(diagonal.count(1), len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            g = gcd(diagonal[a], diagonal[b])
+            diagonal[a], diagonal[b] = g, diagonal[a] // g * diagonal[b]
+    return diagonal
 
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:

@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import invariant_factors_by_minors
@@ -23,6 +24,16 @@ from homophonic.presentation import (
 from homophonic.words import Alphabet, parse_word
 
 TR = Alphabet("tr", "bcçdfgğhjklmnprsştvyzaeıioöuü")
+
+
+def sparse_matrices(max_size):
+    """Nonempty integer matrices up to max_size x max_size, about half zeros."""
+    entry = st.one_of(st.just(0), st.integers(-20, 20))
+    return st.integers(1, max_size).flatmap(
+        lambda width: st.lists(
+            st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=max_size
+        )
+    )
 
 
 def pres(alphabet, *relator_texts):
@@ -94,6 +105,49 @@ class TestSmithNormalForm:
         factors = smith_normal_form(matrix)
         assert all(d > 0 for d in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+    @pytest.mark.parametrize("entry", [2.5, Fraction(7, 2), "7"], ids=["float", "fraction", "str"])
+    def test_non_integral_entry_rejected(self, entry):
+        with pytest.raises(TypeError):
+            smith_normal_form([[entry]])
+
+    def test_bool_entries_are_integers(self):
+        assert smith_normal_form([[True, False], [False, True]]) == [1, 1]
+
+    def test_row_cleared_only_after_its_column(self):
+        # Reducing the pivot row first would leave 43 where 49 belongs.
+        assert smith_normal_form([[0, 7, 0], [0, 9, 7]]) == [1, 49]
+
+    def test_remainder_left_in_pivot_row(self):
+        assert smith_normal_form([[2, 3]]) == [1]
+        assert smith_normal_form([[4, 6], [6, 9]]) == [1]
+
+    def test_input_untouched_and_tuples_accepted(self):
+        matrix = [[0, 7, 0], [0, 9, 7], [0, 7, 0]]
+        assert smith_normal_form(matrix) == [1, 49]
+        assert matrix == [[0, 7, 0], [0, 9, 7], [0, 7, 0]]
+        assert smith_normal_form(((4, 6), (6, 9))) == [1]
+
+    @given(sparse_matrices(12), st.data())
+    def test_depends_only_on_the_row_lattice(self, matrix, data):
+        width = len(matrix[0])
+        rows = [r for r in matrix for _ in range(data.draw(st.integers(1, 2)))]
+        rows = [[-x for x in r] if data.draw(st.booleans()) else r for r in rows]
+        rows += [[0] * width] * data.draw(st.integers(0, 2))
+        rows = data.draw(st.permutations(rows))
+        columns = data.draw(st.permutations(range(width)))
+        moved = [[r[c] for c in columns] for r in rows]
+        assert smith_normal_form(moved) == smith_normal_form(matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices(10))
+    def test_matches_sympy(self, matrix):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        form = sympy_snf(sympy.Matrix(matrix), domain=sympy.ZZ)
+        diagonal = [abs(int(form[i, i])) for i in range(min(form.shape))]
+        assert smith_normal_form(matrix) == [d for d in diagonal if d]
 
 
 class TestAbelianInvariants:

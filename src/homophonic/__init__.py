@@ -64,7 +64,6 @@ from .words import (
     display,
     free_reduce,
     invert,
-    letter_word,
     occurrences,
     parse_word,
     split_graphemes,

@@ -1,9 +1,10 @@
 """Homophone dataset files: format, validation, and the bundled corpora.
 
-A dataset file is UTF-8 text whose lines end at a line feed; a carriage
-return before it is dropped.  Header lines are ``@language <tag>`` and one
-or more ``@alphabet <glyph> <glyph> ...`` lines (concatenated in order);
-``#`` starts a comment.  Record lines carry five tab-separated fields:
+A dataset file is UTF-8 text whose lines end at a line feed; a leading
+byte-order mark and a carriage return before a line feed are dropped.
+Header lines are ``@language <tag>`` and one or more ``@alphabet <glyph>
+<glyph> ...`` lines (concatenated in order); ``#`` starts a comment.
+Record lines carry five tab-separated fields:
 
     kind    "word" or "raw"
     lhs     left side
@@ -87,9 +88,10 @@ class LanguageDataset:
 def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
     language: str | None = None
     glyphs: list[str] = []
+    glyph_lines: list[int] = []
     records: list[RelationRecord] = []
     record_lines: list[int] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = line.removesuffix("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -104,12 +106,7 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
                 language = value.strip()
             elif keyword == "@alphabet":
                 glyphs.extend(value.split())
-                # Alphabet owns the glyph rules; building one here puts a
-                # bad glyph on its line.
-                try:
-                    Alphabet("", glyphs)
-                except AlphabetError as exc:
-                    raise DatasetError(str(exc), lineno, source) from None
+                glyph_lines.extend([lineno] * (len(glyphs) - len(glyph_lines)))
             else:
                 raise DatasetError(f"unknown header {keyword!r}", lineno, source)
         else:
@@ -128,7 +125,9 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
         raise DatasetError("missing @alphabet header", source=source)
     dataset = LanguageDataset(language, tuple(glyphs), tuple(records))
     try:
-        dataset._relations  # built once here, which validates every record
+        dataset._relations  # built once here, with the alphabet, which validates both
+    except AlphabetError as exc:
+        raise DatasetError(str(exc), glyph_lines[exc.index], source) from None
     except DatasetError as exc:
         raise DatasetError(str(exc), record_lines[exc.record], source) from None
     return dataset
@@ -178,7 +177,10 @@ def serialize_dataset(dataset: LanguageDataset) -> str:
         if line.count("\t") != RECORD_FIELDS - 1 or "\n" in line or "\r" in line:
             raise DatasetError(f"record ({r.lhs!r} = {r.rhs!r}) holds a tab or a line break")
         lines.append(line)
-    dataset._relations  # a glyph or record that fails here would fail to parse back
+    try:
+        dataset._relations  # a glyph or record that fails here would fail to parse back
+    except AlphabetError as exc:
+        raise DatasetError(str(exc)) from None
     return "\n".join(lines) + "\n"
 
 

@@ -91,22 +91,17 @@ class Presentation:
     def __post_init__(self):
         if len(self.relators) != len(self.origins):
             raise ValueError("origins must align with relators")
-        language, gens = self.alphabet.language, self.alphabet.generators
+        live = {g for g in self.alphabet if g.id in self.live}
         for w in self.relators:
             if not w:
                 raise ValueError("empty relator")
-            # By glyph and language: equal alphabets are separate objects, and
-            # Generator.__eq__ costs too much to call for every round.
-            for g in w.counts:
-                known = 0 <= g.id < len(gens) and gens[g.id].glyph == g.glyph
-                if not known or g.language != language:
-                    raise AlphabetMismatchError(
-                        f"relator {display(w)} is not over the {language!r} alphabet"
-                    )
-                if g.id not in self.live:
-                    raise ValueError(f"relator {display(w)} uses eliminated generator {g.glyph!r}")
+            if not w.counts.keys() <= live:
+                raise AlphabetMismatchError(
+                    f"relator {display(w)} is not over the live generators"
+                    f" of the {self.alphabet.language!r} alphabet"
+                )
             first, last = w.letters[0], w.letters[-1]
-            if len(w) >= 2 and first.sign == -last.sign and first.gen.id == last.gen.id:
+            if first.gen == last.gen and first.sign != last.sign:
                 raise ValueError(f"relator {display(w)} is not cyclically reduced")
 
     @classmethod
@@ -238,7 +233,7 @@ def _greedy_pick(p: Presentation, candidates: list[tuple[int, Generator]]):
     largest generator id so that earlier-alphabet letters survive."""
     best = min({i for i, _ in candidates}, key=lambda i: (len(p.relators[i]), i))
     gens = [g for i, g in candidates if i == best]
-    return best, max(gens, key=lambda g: g.id)
+    return best, max(gens)
 
 
 def _run(p: Presentation, choose, max_rounds: float, max_relator_len: float):

@@ -11,7 +11,6 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -23,6 +22,10 @@ EMPTY_WORD_DISPLAY = "1"
 
 class AlphabetError(ValueError):
     """Malformed alphabet definition (duplicate or non-atomic glyphs)."""
+
+    def __init__(self, message: str, index: int):
+        self.index = index  # the bad glyph's position in the glyph sequence
+        super().__init__(message)
 
 
 class UnknownGlyphError(ValueError):
@@ -43,8 +46,7 @@ class SelfReferenceError(ValueError):
     """Substitution whose replacement still contains the replaced generator."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """One alphabet symbol; ``id`` is its 0-based position in the alphabet."""
 
     id: int
@@ -82,14 +84,14 @@ class Alphabet:
         self.language = language
         gens: list[Generator] = []
         seen: set[str] = set()
-        for glyph in glyphs:
+        for index, glyph in enumerate(glyphs):
             glyph = unicodedata.normalize("NFC", glyph)
             if len(split_graphemes(glyph)) != 1:
-                raise AlphabetError(f"glyph {glyph!r} is not a single grapheme cluster")
+                raise AlphabetError(f"glyph {glyph!r} is not a single grapheme cluster", index)
             if glyph in seen:
-                raise AlphabetError(f"duplicate glyph {glyph!r}")
+                raise AlphabetError(f"duplicate glyph {glyph!r}", index)
             seen.add(glyph)
-            gens.append(Generator(len(gens), glyph, language))
+            gens.append(Generator(index, glyph, language))
         self.generators: tuple[Generator, ...] = tuple(gens)
         self._letters = {g.glyph: SignedLetter(g, 1) for g in self.generators}
 
@@ -151,8 +153,7 @@ class Word:
     @cached_property
     def counts(self) -> Mapping[Generator, int]:
         """Occurrences of each generator, ignoring sign, in order of id; 0 if absent."""
-        gens = sorted((sl.gen for sl in self.letters), key=attrgetter("id"))
-        return MappingProxyType(Counter(gens))
+        return MappingProxyType(Counter(sorted(sl.gen for sl in self.letters)))
 
     @cached_property
     def cyclic_key(self) -> tuple[int, ...]:
@@ -171,21 +172,11 @@ class Word:
     def __bool__(self) -> bool:
         return bool(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
-
-    def __invert__(self) -> "Word":
-        return invert(self)
-
     def __repr__(self) -> str:
         return f"Word({display(self)})"
 
 
 EMPTY_WORD = Word()
-
-
-def letter_word(gen: Generator, sign: int = 1) -> Word:
-    return Word((SignedLetter(gen, sign),))
 
 
 def free_reduce(raw: Iterable[SignedLetter]) -> Word:

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homophonic import datasets
 from homophonic.datasets import (
     BUILTIN_LANGUAGES,
     DatasetError,
     LanguageDataset,
     RelationRecord,
+    builtin_data_dir,
     builtin_dataset,
     load_dataset,
     parse_dataset,
@@ -17,6 +19,7 @@ from homophonic.datasets import (
 )
 from homophonic.hangul import compose_syllable, decompose_text, parse_jamo
 from homophonic.presentation import relator_from_relation
+from homophonic.words import Alphabet
 
 GERMAN_ROW = "word\twaage\twage\tscales/(I) dare\tvowel-length"
 
@@ -90,6 +93,20 @@ class TestParsing:
     def test_crlf_file_parses(self):
         assert parse_dataset(SMALL.replace("\n", "\r\n")) == parse_dataset(SMALL)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.hq"
+        path.write_bytes(b"\xef\xbb\xbf" + SMALL.encode("utf-8"))
+        assert load_dataset(path) == parse_dataset(SMALL)
+        assert parse_dataset("\ufeff" + SMALL) == parse_dataset(SMALL)
+
+    def test_non_utf8_byte_after_a_byte_order_mark_reports_its_line(self, tmp_path):
+        path = tmp_path / "bom.hq"
+        path.write_bytes(b"\xef\xbb\xbf@language de\n@alphabet a\n# caf\xff\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"{path}:3: byte 0xff is not UTF-8")
+
     def test_bad_record_after_a_form_feed_reports_its_line(self):
         text = "@language de\n@alphabet a b\n# note\x0cpage\nword\tac\ta\tg\tr\n"
         with pytest.raises(DatasetError) as err:
@@ -151,6 +168,34 @@ class TestParsing:
         assert err.value.line == line
         assert str(err.value).startswith(f"bad.hq:{line}: {message}")
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("@language de\n@alphabet a b\n@alphabet c a\n@alphabet d\n", 3, "duplicate glyph 'a'"),
+            ("@language de\n@alphabet a\n@alphabet bc\n@alphabet d\n", 3, "glyph 'bc' is not"),
+        ],
+        ids=["duplicate", "nonatomic"],
+    )
+    def test_bad_glyph_is_reported_at_its_own_alphabet_line(self, text, line, message):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(text, source="bad.hq")
+        assert err.value.line == line
+        assert str(err.value).startswith(f"bad.hq:{line}: {message}")
+
+    def test_a_parse_builds_one_alphabet(self, monkeypatch):
+        builds = []
+
+        class CountingAlphabet(Alphabet):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(datasets, "Alphabet", CountingAlphabet)
+        text = (builtin_data_dir() / "korean.hq").read_text(encoding="utf-8")
+        assert text.count("@alphabet") > 1
+        parse_dataset(text)
+        assert len(builds) == 1
+
     def test_language_keyword_must_match_exactly(self):
         with pytest.raises(DatasetError) as err:
             parse_dataset("@languagex de\n@alphabet a\n")
@@ -172,6 +217,12 @@ class TestRoundTrip:
         save_dataset(d, path)
         assert load_dataset(path) == d
 
+    def test_serialization_writes_no_byte_order_mark(self, tmp_path):
+        d = parse_dataset("\ufeff" + SMALL)
+        assert serialize_dataset(d) == serialize_dataset(parse_dataset(SMALL))
+        save_dataset(d, tmp_path / "out.hq")
+        assert (tmp_path / "out.hq").read_bytes().startswith(b"@language de\n")
+
     def test_serialization_is_tab_separated(self):
         d = parse_dataset(SMALL)
         text = serialize_dataset(d)
@@ -190,6 +241,8 @@ class TestRoundTrip:
             ("de", ("a", " ", "b"), None, "glyph ' '"),
             ("de", ("a", ""), None, "glyph ''"),
             ("de", ("a\u2028",), None, "glyph 'a\\u2028'"),
+            ("de", ("a", "a"), None, "duplicate glyph 'a'"),
+            ("de", ("ab",), None, "glyph 'ab' is not a single grapheme"),
         ],
         ids=[
             "tab-in-gloss",
@@ -202,6 +255,8 @@ class TestRoundTrip:
             "space-glyph",
             "empty-glyph",
             "line-separator-in-glyph",
+            "duplicate-glyph",
+            "nonatomic-glyph",
         ],
     )
     def test_serialize_refuses_what_cannot_parse_back(self, language, glyphs, record, named):

@@ -157,6 +157,30 @@ class TestSimplify:
         with pytest.raises(AlphabetMismatchError):
             Presentation.from_relations(Alphabet("de", "abc"), [rel])
 
+    def test_relator_over_the_same_glyphs_of_another_language_rejected(self):
+        rel = Relation(parse_word(Alphabet("tr", "abc"), "a b"), EMPTY_WORD)
+        with pytest.raises(AlphabetMismatchError):
+            Presentation.from_relations(Alphabet("de", "abc"), [rel])
+
+    def test_relator_with_an_eliminated_generator_rejected(self):
+        abc = Alphabet("de", "abc")
+        live = frozenset({0, 2})  # b is eliminated
+        with pytest.raises(AlphabetMismatchError, match="not over the live generators"):
+            Presentation(abc, (w(abc, "a b"),), (Provenance(),), live)
+
+    def test_relator_that_is_not_cyclically_reduced_rejected(self):
+        abc, live = Alphabet("de", "abc"), frozenset({0, 1, 2})
+        with pytest.raises(ValueError, match="not cyclically reduced"):
+            Presentation(abc, (w(abc, "a b a^-1"),), (Provenance(),), live)
+        for text in ("a", "a b a", "a^-1 b a^-1"):
+            assert Presentation(abc, (w(abc, text),), (Provenance(),), live).relators
+
+    def test_greedy_pick_eliminates_the_largest_id(self):
+        abc = Alphabet("de", "abc")
+        verdict, trace = simplify(pres(abc, "a b"))
+        assert [step.generator.glyph for step in trace.steps] == ["b"]
+        assert verdict == FreeOfRank(2, (abc.generator("a"), abc.generator("c")))
+
     def test_relator_over_an_equal_alphabet_accepted(self):
         rel = Relation(parse_word(Alphabet("de", "abc"), "a b"), EMPTY_WORD)
         p = Presentation.from_relations(Alphabet("de", "abc"), [rel])

@@ -17,6 +17,7 @@ from homophonic.words import (
     Alphabet,
     AlphabetError,
     AlphabetMismatchError,
+    Generator,
     SelfReferenceError,
     SignedLetter,
     UnknownGlyphError,
@@ -26,7 +27,6 @@ from homophonic.words import (
     display,
     free_reduce,
     invert,
-    letter_word,
     occurrences,
     parse_word,
     split_graphemes,
@@ -69,6 +69,22 @@ class TestAlphabet:
     def test_word_tokenizes_grapheme_clusters(self):
         word = TR.word("kağan")
         assert [sl.gen.glyph for sl in word] == ["k", "a", "ğ", "a", "n"]
+
+    def test_generators_of_equal_alphabets_are_equal(self):
+        first, second = Alphabet("de", "abc"), Alphabet("de", "abc")
+        assert first.generators == second.generators
+        assert [hash(g) for g in first] == [hash(g) for g in second]
+
+    def test_generators_of_another_language_differ(self):
+        assert Alphabet("de", "abc").generator("a") != Alphabet("tr", "abc").generator("a")
+
+    def test_generators_sort_by_id(self):
+        assert sorted(reversed(DE.generators)) == list(DE.generators)
+
+    def test_generator_is_a_plain_tuple(self):
+        assert Generator(0, "a", "de") == (0, "a", "de")
+        assert DE.generator("a") == Generator(0, "a", "de")
+        assert repr(DE.generator("b")) == "Generator(id=1, glyph='b', language='de')"
 
 
 class TestFreeReduce:

@@ -18,7 +18,6 @@ from .abelianization import (
 )
 from .datasets import (
     LanguageDataset,
-    RelationRecord,
     builtin_dataset,
     load_dataset,
     parse_dataset,

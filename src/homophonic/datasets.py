@@ -30,11 +30,11 @@ from .words import Alphabet, AlphabetError, Word
 
 KOREAN_LANGUAGE_TAG = "ko"
 RECORD_FIELDS = 5
-_KIND_NAMES = {"word": "word-pair", "raw": "raw-identity"}
 
 
 class DatasetError(ValueError):
     record: int | None = None  # the bad record's index, when a dataset's relations fail
+    glyph: int | None = None  # the bad glyph's index, when a dataset's alphabet fails
 
     def __init__(self, message: str, line: int | None = None, source: str | None = None):
         self.line = line
@@ -47,26 +47,22 @@ class DatasetError(ValueError):
 
 
 @dataclass(frozen=True)
-class RelationRecord:
-    kind: str  # "word" or "raw"
-    lhs: str
-    rhs: str
-    gloss: str
-    ref: str
-
-
-@dataclass(frozen=True)
 class LanguageDataset:
     language: str
     glyphs: tuple[str, ...]
-    records: tuple[RelationRecord, ...]
+    records: tuple[Provenance, ...]
 
     def alphabet(self) -> Alphabet:
         return self._alphabet
 
     @cached_property
     def _alphabet(self) -> Alphabet:
-        return Alphabet(self.language, self.glyphs)
+        try:
+            return Alphabet(self.language, self.glyphs)
+        except AlphabetError as exc:
+            error = DatasetError(str(exc))
+            error.glyph = exc.index
+            raise error from None
 
     @cached_property
     def _relations(self) -> tuple[Relation, ...]:
@@ -80,8 +76,7 @@ class LanguageDataset:
                 error = DatasetError(f"record ({r.lhs!r} = {r.rhs!r}): {exc}")
                 error.record = index
                 raise error from None
-            provenance = Provenance(_KIND_NAMES[r.kind], r.lhs, r.rhs, r.gloss, r.ref)
-            relations.append(Relation(lhs, rhs, provenance))
+            relations.append(Relation(lhs, rhs, r))
         return tuple(relations)
 
 
@@ -89,7 +84,7 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
     language: str | None = None
     glyphs: list[str] = []
     glyph_lines: list[int] = []
-    records: list[RelationRecord] = []
+    records: list[Provenance] = []
     record_lines: list[int] = []
     for lineno, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = line.removesuffix("\r")
@@ -117,7 +112,7 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
                     lineno,
                     source,
                 )
-            records.append(RelationRecord(*fields))
+            records.append(Provenance(*fields))
             record_lines.append(lineno)
     if language is None:
         raise DatasetError("missing @language header", source=source)
@@ -126,10 +121,9 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
     dataset = LanguageDataset(language, tuple(glyphs), tuple(records))
     try:
         dataset._relations  # built once here, with the alphabet, which validates both
-    except AlphabetError as exc:
-        raise DatasetError(str(exc), glyph_lines[exc.index], source) from None
     except DatasetError as exc:
-        raise DatasetError(str(exc), record_lines[exc.record], source) from None
+        line = record_lines[exc.record] if exc.glyph is None else glyph_lines[exc.glyph]
+        raise DatasetError(str(exc), line, source) from None
     return dataset
 
 
@@ -177,10 +171,7 @@ def serialize_dataset(dataset: LanguageDataset) -> str:
         if line.count("\t") != RECORD_FIELDS - 1 or "\n" in line or "\r" in line:
             raise DatasetError(f"record ({r.lhs!r} = {r.rhs!r}) holds a tab or a line break")
         lines.append(line)
-    try:
-        dataset._relations  # a glyph or record that fails here would fail to parse back
-    except AlphabetError as exc:
-        raise DatasetError(str(exc)) from None
+    dataset._relations  # a glyph or record that fails here would fail to parse back
     return "\n".join(lines) + "\n"
 
 

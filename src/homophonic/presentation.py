@@ -44,9 +44,9 @@ class TraceInvalidError(ValueError):
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where a relator came from: the witnessing record of its dataset."""
+    """The dataset record that witnesses a relator."""
 
-    kind: str = "raw-identity"  # "word-pair" or "raw-identity"
+    kind: str = "raw"  # "word" or "raw"
     lhs: str = ""
     rhs: str = ""
     gloss: str = ""
@@ -92,6 +92,8 @@ class Presentation:
         if len(self.relators) != len(self.origins):
             raise ValueError("origins must align with relators")
         live = {g for g in self.alphabet if g.id in self.live}
+        if len(live) < len(self.live):
+            raise ValueError("live ids must name generators of the alphabet")
         for w in self.relators:
             if not w:
                 raise ValueError("empty relator")

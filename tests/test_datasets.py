@@ -7,7 +7,6 @@ from homophonic.datasets import (
     BUILTIN_LANGUAGES,
     DatasetError,
     LanguageDataset,
-    RelationRecord,
     builtin_data_dir,
     builtin_dataset,
     load_dataset,
@@ -18,7 +17,7 @@ from homophonic.datasets import (
     to_relations,
 )
 from homophonic.hangul import compose_syllable, decompose_text, parse_jamo
-from homophonic.presentation import relator_from_relation
+from homophonic.presentation import Provenance, relator_from_relation
 from homophonic.words import Alphabet
 
 GERMAN_ROW = "word\twaage\twage\tscales/(I) dare\tvowel-length"
@@ -38,8 +37,8 @@ class TestParsing:
         assert d.language == "de"
         assert d.glyphs == ("a", "b", "c", "w", "g", "e")
         assert d.records == (
-            RelationRecord("word", "waage", "wage", "scales/(I) dare", "vowel-length"),
-            RelationRecord("raw", "a+b", "c", "made up", "custom"),
+            Provenance("word", "waage", "wage", "scales/(I) dare", "vowel-length"),
+            Provenance("raw", "a+b", "c", "made up", "custom"),
         )
 
     def test_multiple_alphabet_lines_concatenate(self):
@@ -88,7 +87,7 @@ class TestParsing:
     def test_only_newline_ends_a_line(self):
         text = "@language de\n@alphabet a b\n# note\x0cpage\nword\tab\tba\tone\u2028two\tr\n"
         d = parse_dataset(text)
-        assert d.records == (RelationRecord("word", "ab", "ba", "one\u2028two", "r"),)
+        assert d.records == (Provenance("word", "ab", "ba", "one\u2028two", "r"),)
 
     def test_crlf_file_parses(self):
         assert parse_dataset(SMALL.replace("\n", "\r\n")) == parse_dataset(SMALL)
@@ -223,6 +222,19 @@ class TestRoundTrip:
         save_dataset(d, tmp_path / "out.hq")
         assert (tmp_path / "out.hq").read_bytes().startswith(b"@language de\n")
 
+    def test_dataset_of_provenance_records_parses_back_equal(self):
+        records = (
+            Provenance("word", "ab", "ba", "swap", "made up"),
+            Provenance("raw", "a+b", "", "", ""),
+        )
+        d = LanguageDataset("de", ("a", "b"), records)
+        assert parse_dataset(serialize_dataset(d)) == d
+
+    def test_default_provenance_is_a_vacuous_raw_record(self):
+        d = LanguageDataset("de", ("a",), (Provenance(),))
+        assert parse_dataset(serialize_dataset(d)) == d
+        assert to_presentation(d).relators == ()
+
     def test_serialization_is_tab_separated(self):
         d = parse_dataset(SMALL)
         text = serialize_dataset(d)
@@ -260,7 +272,7 @@ class TestRoundTrip:
         ],
     )
     def test_serialize_refuses_what_cannot_parse_back(self, language, glyphs, record, named):
-        records = (RelationRecord(*record),) if record else ()
+        records = (Provenance(*record),) if record else ()
         with pytest.raises(DatasetError) as err:
             serialize_dataset(LanguageDataset(language, glyphs, records))
         assert named in str(err.value)
@@ -286,7 +298,7 @@ class TestRoundTrip:
             side = st.lists(st.sampled_from(glyphs or ["a"]), max_size=3).map(joiner.join)
             lhs, rhs = mostly(side, with_breaks), mostly(side, with_breaks)
             gloss, ref = mostly(plain, with_breaks), mostly(plain, with_breaks)
-            records.append(RelationRecord(kind, lhs, rhs, gloss, ref))
+            records.append(Provenance(kind, lhs, rhs, gloss, ref))
         d = LanguageDataset(language, tuple(glyphs), tuple(records))
         try:
             text = serialize_dataset(d)
@@ -346,9 +358,33 @@ class TestBuiltinCorpora:
         assert to_presentation(d).alphabet is d.alphabet()
 
     def test_dataset_built_in_code_names_its_bad_record(self):
-        d = LanguageDataset("de", ("a", "b"), (RelationRecord("word", "ab", "ac", "g", "r"),))
+        d = LanguageDataset("de", ("a", "b"), (Provenance("word", "ab", "ac", "g", "r"),))
         with pytest.raises(DatasetError, match=r"record \('ab' = 'ac'\): unknown glyph 'c'"):
             to_presentation(d)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [to_presentation, to_relations, LanguageDataset.alphabet],
+        ids=["to_presentation", "to_relations", "alphabet"],
+    )
+    @pytest.mark.parametrize(
+        "glyphs, index, message",
+        [(("a", "a"), 1, "duplicate glyph 'a'"), (("ab",), 0, "not a single grapheme cluster")],
+        ids=["duplicate", "non-atomic"],
+    )
+    def test_dataset_built_in_code_names_its_bad_glyph(self, entry, glyphs, index, message):
+        with pytest.raises(DatasetError, match=message) as err:
+            entry(LanguageDataset("de", glyphs, ()))
+        assert err.value.glyph == index
+
+    def test_presentation_origins_are_the_dataset_records(self):
+        d = builtin_dataset("korean")
+        records = {id(r) for r in d.records}
+        assert all(id(origin) in records for origin in to_presentation(d).origins)
+
+    def test_relation_provenance_is_its_record(self):
+        d = builtin_dataset("korean")
+        assert all(rel.provenance is r for rel, r in zip(to_relations(d), d.records, strict=True))
 
     def test_empty_dataset_has_no_relators(self):
         d = parse_dataset("@language xx\n@alphabet a\n")

@@ -1,7 +1,9 @@
 """Every demo script runs to completion in a fresh interpreter and prints
-exactly its recorded output, ``golden/demos/<name>.out``."""
+exactly its recorded output, ``golden/demos/<name>.out``; the README's
+library example runs cleanly too."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +35,17 @@ def test_demo_runs_cleanly(demo):
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_output_matches_golden(demo):
     assert run_demo(demo).stdout == (GOLDEN / f"{demo.stem}.out").read_bytes()
+
+
+def test_readme_library_example_runs_cleanly():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    done = subprocess.run(
+        [sys.executable, "-c", example], cwd=ROOT, capture_output=True, timeout=120
+    )
+    assert done.stderr == b""
+    assert done.returncode == 0
+    assert done.stdout.decode("utf-8").splitlines()[-2:] == [
+        "verdict: free of rank 2; basis: ㅏ ㅗ",
+        "abelianization: free rank 2, torsion []; consistent: yes",
+    ]

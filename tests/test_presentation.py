@@ -168,6 +168,15 @@ class TestSimplify:
         with pytest.raises(AlphabetMismatchError, match="not over the live generators"):
             Presentation(abc, (w(abc, "a b"),), (Provenance(),), live)
 
+    @pytest.mark.parametrize(
+        "live",
+        [frozenset({-1}), frozenset({0, 1, 2, 99}), frozenset({"x"})],
+        ids=["negative", "past-the-end", "not-an-id"],
+    )
+    def test_live_id_that_names_no_generator_rejected(self, live):
+        with pytest.raises(ValueError, match="live ids must name generators"):
+            Presentation(Alphabet("de", "abc"), (), (), live)
+
     def test_relator_that_is_not_cyclically_reduced_rejected(self):
         abc, live = Alphabet("de", "abc"), frozenset({0, 1, 2})
         with pytest.raises(ValueError, match="not cyclically reduced"):

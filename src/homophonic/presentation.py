@@ -213,14 +213,14 @@ def eliminate(
 ) -> tuple[Presentation, EliminationStep]:
     """Eliminate ``g`` using the relator at ``relator_index``.
 
-    The relator must contain ``g`` exactly once.  The solution is
-    substituted into every relator and the cyclic cores are normalized, so
-    the solved relator, now empty, drops out; ``g`` leaves the live set.
+    The relator must contain ``g`` exactly once.  The solution replaces ``g``
+    in the relators that hold it (the rest pass through) and the cores are
+    normalized, so the solved relator drops out; ``g`` leaves the live set.
     """
     if not 0 <= relator_index < len(p.relators):
         raise NotEliminableError(f"no relator at index {relator_index}")
     solution = solve_for(p.relators[relator_index], g)
-    cores = [cyclic_reduce(substitute(w, g, solution))[0] for w in p.relators]
+    cores = [cyclic_reduce(substitute(w, g, solution))[0] if w.counts[g] else w for w in p.relators]
     step = EliminationStep(g, solution, relator_index, p.origins[relator_index])
     return _collect(p.alphabet, p.live - {g.id}, cores, p.origins, dedup=True), step
 

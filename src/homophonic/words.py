@@ -59,7 +59,8 @@ class SignedLetter(NamedTuple):
     sign: int  # +1 or -1
 
     def inverse(self) -> "SignedLetter":
-        return SignedLetter(self.gen, -self.sign)
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        return tuple.__new__(SignedLetter, (self.gen, -self.sign))
 
 
 def split_graphemes(text: str) -> list[str]:
@@ -159,9 +160,16 @@ class Word:
     def cyclic_key(self) -> tuple[int, ...]:
         """Least rotation of the word or of its inverse, letters as ±(id+1); equal
         exactly for words of one alphabet that are equal up to rotation and inversion."""
-        seq = tuple(sl.sign * (sl.gen.id + 1) for sl in self.letters)
-        inv = tuple(-x for x in reversed(seq))
-        return min((v[k:] + v[:k] for v in (seq, inv) for k in range(len(seq))), default=())
+        seq = [sl.sign * (sl.gen.id + 1) for sl in self.letters]
+        inv = [-x for x in reversed(seq)]
+        least = min(seq + inv, default=0)  # every least rotation starts with it (Booth 1980)
+        rotations = (v[k:] + v[:k] for v in (seq, inv) for k, x in enumerate(v) if x == least)
+        return tuple(min(rotations, default=()))
+
+    @cached_property
+    def inverse(self) -> "Word":
+        """The inverse word; reversing a freely reduced word keeps it reduced."""
+        return _reduced(tuple([sl.inverse() for sl in reversed(self.letters)]))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -179,13 +187,20 @@ class Word:
 EMPTY_WORD = Word()
 
 
+def _reduced(letters: tuple[SignedLetter, ...]) -> Word:
+    """A Word of letters already freely reduced over one alphabet, not walked again."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def free_reduce(raw: Iterable[SignedLetter]) -> Word:
     """The unique freely reduced word equal to ``raw`` in the free group."""
     return Word(tuple(raw))
 
 
 def invert(w: Word) -> Word:
-    return Word(tuple(sl.inverse() for sl in reversed(w.letters)))
+    return w.inverse
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -200,11 +215,11 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     only when ``w`` is empty.
     """
     ls = w.letters
-    i, j = 0, len(ls)
-    while j - i >= 2 and ls[i] == ls[j - 1].inverse():
+    i, j = 0, len(ls) - 1
+    while i < j and ls[i].gen == ls[j].gen and ls[i].sign != ls[j].sign:
         i += 1
         j -= 1
-    return (Word(ls[i:j]), Word(ls[:i])) if i else (w, EMPTY_WORD)
+    return (_reduced(ls[i : j + 1]), _reduced(ls[:i])) if i else (w, EMPTY_WORD)
 
 
 def occurrences(w: Word, g: Generator) -> int:

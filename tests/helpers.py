@@ -57,11 +57,48 @@ def count_oracle(letters, g) -> int:
     return sum(1 for sl in letters if sl.gen == g)
 
 
+def inverse_oracle(letters) -> list[SignedLetter]:
+    """The letters reversed, each with its sign flipped."""
+    return [SignedLetter(sl.gen, -sl.sign) for sl in reversed(list(letters))]
+
+
 def cyclic_variants(letters) -> list[tuple[SignedLetter, ...]]:
     """Every rotation of ``letters`` and of their inverse, listed in full."""
     forward = list(letters)
-    backward = [SignedLetter(sl.gen, -sl.sign) for sl in reversed(forward)]
+    backward = inverse_oracle(forward)
     return [tuple(seq[k:] + seq[:k]) for seq in (forward, backward) for k in range(len(seq) or 1)]
+
+
+def cyclic_key_oracle(letters) -> tuple[int, ...]:
+    """The least of every rotation of the ±(id+1) sequence and of its inverse."""
+    forward = [sl.sign * (sl.gen.id + 1) for sl in letters]
+    backward = [-x for x in reversed(forward)]
+    best: tuple[int, ...] = ()
+    for seq in (forward, backward):
+        for k in range(len(seq)):
+            rotation = tuple(seq[k:] + seq[:k])
+            if not best or rotation < best:
+                best = rotation
+    return best
+
+
+def substitute_oracle(letters, g, solution) -> list[SignedLetter]:
+    """Each letter of ``g`` replaced by ``solution`` or its inverse, unreduced."""
+    out: list[SignedLetter] = []
+    for sl in letters:
+        if sl.gen == g:
+            out.extend(solution if sl.sign > 0 else inverse_oracle(solution))
+        else:
+            out.append(sl)
+    return out
+
+
+def solve_oracle(letters, g) -> list[SignedLetter]:
+    """What ``g`` equals by a relator holding it once: the rest of the relator
+    read from after ``g``, inverted when ``g`` is positive."""
+    k = [sl.gen for sl in letters].index(g)
+    rest = list(letters[k + 1 :]) + list(letters[:k])
+    return inverse_oracle(rest) if letters[k].sign > 0 else rest
 
 
 def random_letters(rng: random.Random, alphabet: Alphabet, max_len: int) -> list[SignedLetter]:

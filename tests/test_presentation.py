@@ -2,8 +2,19 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import random_presentation
+import homophonic.presentation
+from helpers import (
+    inverse_oracle,
+    random_letters,
+    random_presentation,
+    reduce_oracle,
+    solve_oracle,
+    strip_outer_oracle,
+    substitute_oracle,
+)
 from homophonic.abelianization import abelian_invariants
 from homophonic.presentation import (
     EliminationTrace,
@@ -42,6 +53,13 @@ from homophonic.words import (
 
 DE = Alphabet("de", "abcdefghijklmnopqrstuvwxyzäöüß")
 TR = Alphabet("tr", "bcçdfgğhjklmnprsştvyzaeıioöuü")
+ABC = Alphabet("xx", "abc")
+
+
+def oracle_core(letters) -> tuple:
+    """The cyclic core of the free reduction of ``letters``, by the oracles."""
+    core, _ = strip_outer_oracle(tuple(reduce_oracle(list(letters))))
+    return tuple(core)
 
 
 def w(alphabet, text):
@@ -64,6 +82,15 @@ class TestRelatorFromRelation:
     def test_identical_sides_are_vacuous(self):
         rel = Relation(w(DE, "a b c"), w(DE, "a b c"))
         assert relator_from_relation(rel) == EMPTY_WORD
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_relator_is_the_oracle_core_of_lhs_times_rhs_inverse(self, seed):
+        # Three letters make the sides cancel against each other often.
+        rng = random.Random(seed)
+        u = Word(tuple(reduce_oracle(random_letters(rng, ABC, 10))))
+        v = Word(tuple(reduce_oracle(random_letters(rng, ABC, 10))))
+        relator = relator_from_relation(Relation(u, v))
+        assert relator.letters == oracle_core(list(u.letters) + inverse_oracle(v.letters))
 
 
 class TestEliminate:
@@ -105,6 +132,19 @@ class TestEliminate:
         reduced, _ = eliminate(p, DE.generator("b"), 0)
         assert reduced.relators[0] is p.relators[1]
         assert reduced.relators[1] == w(DE, "a c")
+
+    def test_only_relators_holding_the_generator_are_substituted(self, monkeypatch):
+        substituted = []
+        real = homophonic.presentation.substitute
+
+        def recording(word, g, replacement):
+            substituted.append(word)
+            return real(word, g, replacement)
+
+        monkeypatch.setattr(homophonic.presentation, "substitute", recording)
+        p = pres(DE, "a b^-1", "c d c d", "b c", "e f", "c b^-1 d")
+        eliminate(p, DE.generator("b"), 0)
+        assert substituted == [p.relators[0], p.relators[2], p.relators[4]]
 
 
 class TestSimplify:
@@ -353,6 +393,28 @@ class TestEliminationProperties:
                         assert w.counts is counts and w.cyclic_key is key
                         passed += 1
         assert passed > 100, passed
+
+    def test_rebuilt_relators_are_the_oracle_cores_of_the_substitution(self):
+        rng = random.Random(29)
+        rebuilt = 0
+        for _ in range(200):
+            p = random_presentation(rng)
+            for index, g in eliminable(p):
+                reduced, step = eliminate(p, g, index)
+                solution = solve_oracle(p.relators[index].letters, g)
+                assert step.solution.letters == tuple(reduce_oracle(solution))
+                expected = [
+                    oracle_core(substitute_oracle(u.letters, g, solution))
+                    for u in p.relators
+                    if occurrences(u, g)
+                ]
+                for w in reduced.relators:
+                    if any(w is u for u in p.relators):
+                        assert occurrences(w, g) == 0
+                    else:
+                        assert w.letters in expected
+                        rebuilt += 1
+        assert rebuilt > 100, rebuilt
 
     def test_live_set_shrinks_by_one_per_step(self):
         rng = random.Random(13)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from helpers import (
     SCRATCH,
     count_oracle,
+    cyclic_key_oracle,
     cyclic_variants,
+    inverse_oracle,
     random_letters,
     reduce_oracle,
     strip_outer_oracle,
@@ -245,6 +247,26 @@ raw_letters = st.builds(
 )
 
 
+def key_test_word(rng: random.Random, shape: str) -> Word:
+    """A word of ``shape``; the periodic shapes hold the least letter at many starts."""
+    a, b = rng.sample(ABC.generators, 2)
+    x = SignedLetter(a, rng.choice((1, -1)))
+    k = rng.randint(1, 6)
+    if shape == "power":
+        return Word((x,) * k)
+    if shape == "alternating":
+        return Word((x, SignedLetter(b, 1)) * k)
+    if shape == "alternating with inverse":
+        return Word((x, SignedLetter(b, -1)) * k)
+    if shape == "periodic with a tail":
+        return free_reduce(random_letters(rng, ABC, 4) * k + [x])
+    if shape == "one letter":
+        return Word((x,))
+    if shape == "empty":
+        return EMPTY_WORD
+    return free_reduce(random_letters(rng, ABC, 16))
+
+
 def cyclically_reduced(rng, alphabet, max_len):
     core, _ = strip_outer_oracle(tuple(reduce_oracle(random_letters(rng, alphabet, max_len))))
     return Word(tuple(core))
@@ -304,6 +326,50 @@ class TestProperties:
         assert [g.id for g in word.counts] == sorted({sl.gen.id for sl in word.letters})
         with pytest.raises(TypeError):
             word.counts[SCRATCH[0]] = 1
+
+    @given(raw_letters)
+    def test_inverse_is_the_reversed_word_with_signs_flipped(self, raw):
+        word = free_reduce(raw)
+        inverse = invert(word)
+        assert invert(word) is inverse
+        assert invert(inverse) == word
+        assert inverse.letters == tuple(inverse_oracle(word.letters))
+        assert inverse == Word(tuple(inverse_oracle(word.letters)))
+        assert all(type(sl) is SignedLetter for sl in inverse.letters)
+
+    @given(raw_letters)
+    def test_cyclic_reduce_matches_oracle(self, raw):
+        word = free_reduce(raw)
+        core, conj = cyclic_reduce(word)
+        expected_core, expected_conj = strip_outer_oracle(word.letters)
+        assert core.letters == tuple(expected_core)
+        assert conj.letters == tuple(expected_conj)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "random",
+            "power",
+            "alternating",
+            "alternating with inverse",
+            "periodic with a tail",
+            "one letter",
+            "empty",
+        ],
+    )
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_cyclic_key_is_the_least_rotation(self, shape, seed):
+        word = key_test_word(random.Random(seed), shape)
+        assert word.cyclic_key == cyclic_key_oracle(word.letters)
+
+    def test_cyclic_key_values(self):
+        # Letters read as ±(id + 1): a = 1, b = 2, c = 3.
+        assert w(ABC, "b a").cyclic_key == (-2, -1)
+        assert w(ABC, "a a a").cyclic_key == (-1, -1, -1)
+        assert w(ABC, "c a^-1 b a^-1").cyclic_key == (-3, 1, -2, 1)
+        assert w(ABC, "a b a b").cyclic_key == (-2, -1, -2, -1)
+        assert EMPTY_WORD.cyclic_key == ()
 
     @given(
         st.integers(0, 2**32 - 1),

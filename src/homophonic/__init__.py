@@ -63,7 +63,6 @@ from .words import (
     display,
     free_reduce,
     invert,
-    occurrences,
     parse_word,
     split_graphemes,
     substitute,

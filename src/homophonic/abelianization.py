@@ -31,15 +31,14 @@ class AbelianInvariants:
 
 
 def exponent_matrix(p: Presentation) -> ExponentMatrix:
-    ids = tuple(sorted(p.live))
-    column = {gid: j for j, gid in enumerate(ids)}
+    column = {g: j for j, g in enumerate(p.live_generators())}
     rows = []
     for w in p.relators:
-        row = [0] * len(ids)
-        for sl in w.letters:
-            row[column[sl.gen.id]] += sl.sign
+        row = [0] * len(column)
+        for g, sign in w.letters:
+            row[column[g]] += sign
         rows.append(tuple(row))
-    return ExponentMatrix(ids, tuple(rows))
+    return ExponentMatrix(tuple(g.id for g in column), tuple(rows))
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:

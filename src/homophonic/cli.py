@@ -129,7 +129,7 @@ def _exit_code(verdict, invariants=None) -> int:
 def cmd_simplify(args: argparse.Namespace) -> int:
     _, _, verdict, trace = _simplified(args, args.dataset)
     if args.machine:
-        for line in machine_trace(trace, ascii_inverse=True):
+        for line in machine_trace(trace):
             print(line)
     if args.trace and not args.machine:
         print(render_trace(trace, verdict))
@@ -168,7 +168,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "elimination:",
         ]
         if args.machine:
-            lines.extend(machine_trace(trace, ascii_inverse=True))
+            lines.extend(machine_trace(trace))
         else:
             lines.extend(_table_rows(trace))
         lines.append(certificate_line(invariants, verdict))

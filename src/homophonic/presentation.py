@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .words import (
-    EMPTY_WORD,
     Alphabet,
     AlphabetMismatchError,
     Generator,
@@ -22,7 +21,6 @@ from .words import (
     cyclic_reduce,
     display,
     invert,
-    occurrences,
     substitute,
 )
 
@@ -86,18 +84,17 @@ class Presentation:
     alphabet: Alphabet
     relators: tuple[Word, ...]
     origins: tuple[Provenance, ...]
-    live: frozenset[int]
+    live: frozenset[Generator]
 
     def __post_init__(self):
         if len(self.relators) != len(self.origins):
             raise ValueError("origins must align with relators")
-        live = {g for g in self.alphabet if g.id in self.live}
-        if len(live) < len(self.live):
-            raise ValueError("live ids must name generators of the alphabet")
+        if not self.live <= self.alphabet.generator_set:
+            raise ValueError("live generators must be generators of the alphabet")
         for w in self.relators:
             if not w:
                 raise ValueError("empty relator")
-            if not w.counts.keys() <= live:
+            if not w.counts.keys() <= self.live:
                 raise AlphabetMismatchError(
                     f"relator {display(w)} is not over the live generators"
                     f" of the {self.alphabet.language!r} alphabet"
@@ -113,22 +110,11 @@ class Presentation:
         """Build a presentation on the full alphabet, dropping vacuous relations
         but keeping duplicates."""
         cores = [relator_from_relation(rel) for rel in relations]
-        live = frozenset(range(len(alphabet)))
-        return _collect(alphabet, live, cores, [rel.provenance for rel in relations])
-
-    @classmethod
-    def from_relators(
-        cls, alphabet: Alphabet, relators: Sequence[Word]
-    ) -> "Presentation":
-        """Build a presentation from bare relators (for tests and hand input)."""
-        cores = [cyclic_reduce(w)[0] for w in relators]
-        return cls.from_relations(
-            alphabet,
-            [Relation(c, EMPTY_WORD, Provenance(lhs=display(c), rhs="1")) for c in cores],
-        )
+        origins = [rel.provenance for rel in relations]
+        return _collect(alphabet, alphabet.generator_set, cores, origins)
 
     def live_generators(self) -> tuple[Generator, ...]:
-        return tuple(self.alphabet[i] for i in sorted(self.live))
+        return tuple(sorted(self.live))
 
 
 @dataclass(frozen=True)
@@ -198,9 +184,9 @@ def solve_for(relator: Word, g: Generator) -> Word:
     The relator is rotated to start with the single occurrence of ``g``;
     what remains, inverted as the sign demands, equals ``g``.
     """
-    if occurrences(relator, g) != 1:
+    if relator.counts[g] != 1:
         raise NotEliminableError(
-            f"{g.glyph!r} occurs {occurrences(relator, g)} times in {display(relator)}"
+            f"{g.glyph!r} occurs {relator.counts[g]} times in {display(relator)}"
         )
     k = next(i for i, sl in enumerate(relator.letters) if sl.gen == g)
     sign = relator.letters[k].sign
@@ -222,7 +208,7 @@ def eliminate(
     solution = solve_for(p.relators[relator_index], g)
     cores = [cyclic_reduce(substitute(w, g, solution))[0] if w.counts[g] else w for w in p.relators]
     step = EliminationStep(g, solution, relator_index, p.origins[relator_index])
-    return _collect(p.alphabet, p.live - {g.id}, cores, p.origins, dedup=True), step
+    return _collect(p.alphabet, p.live - {g}, cores, p.origins, dedup=True), step
 
 
 def eliminable(p: Presentation) -> list[tuple[int, Generator]]:
@@ -239,13 +225,14 @@ def _greedy_pick(p: Presentation, candidates: list[tuple[int, Generator]]):
 
 
 def _run(p: Presentation, choose, max_rounds: float, max_relator_len: float):
-    """The elimination loop behind ``simplify`` and ``replay``: ``choose`` names
-    the next (relator index, generator) pair, or None to stop.  Every exit
-    leaves a normalized presentation."""
+    """The elimination loop behind ``simplify`` and ``replay``: ``choose`` sees
+    the presentation and the steps so far and names the next (relator index,
+    generator) pair, or None to stop.  Every exit leaves a normalized
+    presentation."""
     p = normalize(p)
     steps: list[EliminationStep] = []
     reason = "no relator with a single-occurrence generator"
-    while (choice := choose(p)) is not None:
+    while (choice := choose(p, steps)) is not None:
         if len(steps) >= max_rounds:
             reason = "round limit reached"
             break
@@ -277,7 +264,7 @@ def simplify(
     """
     pick = pick or _greedy_pick
 
-    def choose(q: Presentation):
+    def choose(q: Presentation, _steps):
         candidates = eliminable(q)
         return pick(q, candidates) if candidates else None
 
@@ -287,27 +274,31 @@ def simplify(
 def replay(trace: EliminationTrace, p: Presentation) -> Verdict:
     """Re-run the elimination loop on the recorded choices, checking each.
 
-    Raises TraceInvalidError (with the failing step index) when a step no
-    longer matches the presentation it claims to act on.
+    Raises TraceInvalidError with the index of the first step that does not
+    match the presentation it acts on, or ``len(trace.steps)`` when the run
+    ends elsewhere than ``trace.final``.
     """
-    script = enumerate(trace.steps)
 
-    def choose(q: Presentation):
-        i, step = next(script, (None, None))
-        if step is None:
+    def choose(q: Presentation, applied: list[EliminationStep]):
+        # The step applied last is checked before the next one is read.
+        i = len(applied)
+        if i and applied[-1].solution != trace.steps[i - 1].solution:
+            raise TraceInvalidError(i - 1, "recorded solution does not match")
+        if i == len(trace.steps):
             return None
+        step = trace.steps[i]
         if not 0 <= step.relator_index < len(q.relators):
             raise TraceInvalidError(i, f"relator index {step.relator_index} out of range")
-        if occurrences(q.relators[step.relator_index], step.generator) != 1:
-            raise TraceInvalidError(
-                i, f"{step.generator.glyph!r} does not occur exactly once"
-            )
+        if q.relators[step.relator_index].counts[step.generator] != 1:
+            raise TraceInvalidError(i, f"{step.generator.glyph!r} does not occur exactly once")
         return step.relator_index, step.generator
 
     verdict, replayed = _run(p, choose, math.inf, math.inf)
-    for i, (recorded, applied) in enumerate(zip(trace.steps, replayed.steps)):
-        if applied.solution != recorded.solution:
-            raise TraceInvalidError(i, "recorded solution does not match")
+    final = replayed.final  # field by field: alphabets compare by identity
+    if (final.relators, final.origins, final.live) != (
+        trace.final.relators, trace.final.origins, trace.final.live
+    ):
+        raise TraceInvalidError(len(trace.steps), "final presentation does not match")
     return verdict
 
 
@@ -338,14 +329,14 @@ def _table_rows(trace: EliminationTrace) -> list[str]:
     return [f"{step.generator.glyph} | {step.provenance.witness()}" for step in trace.steps]
 
 
-def machine_trace(trace: EliminationTrace, ascii_inverse: bool = True) -> list[str]:
-    """Tab-separated step lines: index, glyph, solution, relator index, ref."""
+def machine_trace(trace: EliminationTrace) -> list[str]:
+    """Tab-separated step lines: index, glyph, solution with ``^-1``, relator index, ref."""
     return [
         "\t".join(
             (
                 str(i),
                 step.generator.glyph,
-                display(step.solution, ascii_inverse),
+                display(step.solution, ascii_inverse=True),
                 str(step.relator_index),
                 step.provenance.ref,
             )

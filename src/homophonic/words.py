@@ -94,6 +94,7 @@ class Alphabet:
             seen.add(glyph)
             gens.append(Generator(index, glyph, language))
         self.generators: tuple[Generator, ...] = tuple(gens)
+        self.generator_set: frozenset[Generator] = frozenset(gens)
         self._letters = {g.glyph: SignedLetter(g, 1) for g in self.generators}
 
     def __len__(self) -> int:
@@ -101,9 +102,6 @@ class Alphabet:
 
     def __iter__(self) -> Iterator[Generator]:
         return iter(self.generators)
-
-    def __contains__(self, glyph: str) -> bool:
-        return unicodedata.normalize("NFC", glyph) in self._letters
 
     def __getitem__(self, gen_id: int) -> Generator:
         return self.generators[gen_id]
@@ -222,16 +220,11 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return (_reduced(ls[i : j + 1]), _reduced(ls[:i])) if i else (w, EMPTY_WORD)
 
 
-def occurrences(w: Word, g: Generator) -> int:
-    """How many letters of ``w`` reference ``g``, ignoring sign."""
-    return w.counts[g]
-
-
 def substitute(w: Word, g: Generator, replacement: Word) -> Word:
     """Replace every signed ``g`` by ``replacement`` and reduce; ``w`` if ``g`` is absent."""
-    if occurrences(replacement, g):
+    if replacement.counts[g]:
         raise SelfReferenceError(f"replacement for {g.glyph!r} contains itself")
-    if not occurrences(w, g):
+    if not w.counts[g]:
         return w
     inverse_replacement = invert(replacement)
     out: list[SignedLetter] = []

@@ -11,8 +11,8 @@ from itertools import combinations
 from math import gcd
 
 from homophonic.hangul import CONSONANT_SET, VOWEL_SET
-from homophonic.presentation import Presentation
-from homophonic.words import Alphabet, SignedLetter, Word
+from homophonic.presentation import Presentation, Provenance, Relation
+from homophonic.words import EMPTY_WORD, Alphabet, SignedLetter, Word, cyclic_reduce, display
 
 # A wide scratch alphabet for randomized word tests (38 glyphs).
 SCRATCH = Alphabet("xx", "abcdefghijklmnopqrstuvwxyz0123456789+=")
@@ -121,7 +121,17 @@ def random_presentation(
     for _ in range(rng.randint(0, max_relators)):
         letters = random_letters(rng, alphabet, max_relator_len)
         relators.append(Word(tuple()) if not letters else _reduce_to_word(letters))
-    return Presentation.from_relators(alphabet, relators)
+    return from_relators(alphabet, relators)
+
+
+def from_relators(alphabet: Alphabet, relators: list[Word]) -> Presentation:
+    """A presentation on the whole alphabet with one relation ``core = 1`` per
+    relator, where ``core`` is the relator's cyclic core."""
+    cores = [cyclic_reduce(w)[0] for w in relators]
+    return Presentation.from_relations(
+        alphabet,
+        [Relation(c, EMPTY_WORD, Provenance(lhs=display(c), rhs="1")) for c in cores],
+    )
 
 
 def _reduce_to_word(letters: list[SignedLetter]) -> Word:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import invariant_factors_by_minors
+from helpers import from_relators, invariant_factors_by_minors
 from homophonic.abelianization import (
     AbelianInvariants,
     abelian_invariants,
@@ -14,9 +14,9 @@ from homophonic.abelianization import (
     exponent_matrix,
     smith_normal_form,
 )
+from homophonic.datasets import builtin_dataset, to_presentation
 from homophonic.presentation import (
     FreeOfRank,
-    Presentation,
     Trivial,
     Unresolved,
     simplify,
@@ -37,9 +37,7 @@ def sparse_matrices(max_size):
 
 
 def pres(alphabet, *relator_texts):
-    return Presentation.from_relators(
-        alphabet, [parse_word(alphabet, t) for t in relator_texts]
-    )
+    return from_relators(alphabet, [parse_word(alphabet, t) for t in relator_texts])
 
 
 class TestExponentMatrix:
@@ -58,8 +56,22 @@ class TestExponentMatrix:
         assert all(v == 0 for j, v in enumerate(row) if j != g_column)
 
     def test_no_relators_no_rows(self):
-        p = Presentation.from_relators(TR, [])
+        p = from_relators(TR, [])
         assert exponent_matrix(p).rows == ()
+
+    @pytest.mark.parametrize("rounds", [1, 3, 10])
+    @pytest.mark.parametrize("name", ["german", "korean", "turkish"])
+    def test_columns_follow_a_gappy_live_set(self, name, rounds):
+        p = to_presentation(builtin_dataset(name))
+        final = simplify(p, max_rounds=rounds)[1].final
+        ids = sorted(g.id for g in final.live)
+        assert ids != list(range(len(ids)))  # eliminations left gaps
+        m = exponent_matrix(final)
+        assert m.generator_ids == tuple(ids)
+        assert len(m.rows) == len(final.relators)
+        for row, relator in zip(m.rows, final.relators):
+            signed = [sum(sign for g, sign in relator.letters if g.id == i) for i in ids]
+            assert list(row) == signed
 
 
 class TestSmithNormalForm:

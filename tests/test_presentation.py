@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import homophonic.presentation
 from helpers import (
+    from_relators,
     inverse_oracle,
     random_letters,
     random_presentation,
@@ -46,7 +47,6 @@ from homophonic.words import (
     cyclic_reduce,
     display,
     invert,
-    occurrences,
     parse_word,
     substitute,
 )
@@ -67,7 +67,7 @@ def w(alphabet, text):
 
 
 def pres(alphabet, *relator_texts):
-    return Presentation.from_relators(alphabet, [w(alphabet, t) for t in relator_texts])
+    return from_relators(alphabet, [w(alphabet, t) for t in relator_texts])
 
 
 class TestRelatorFromRelation:
@@ -99,7 +99,7 @@ class TestEliminate:
         reduced, step = eliminate(p, DE.generator("a"), 0)
         assert step.solution == EMPTY_WORD
         assert reduced.relators == ()
-        assert DE.generator("a").id not in reduced.live
+        assert DE.generator("a") not in reduced.live
 
     def test_solving_rearranges_around_the_occurrence(self):
         p = pres(TR, "a b e y e^-1 b^-1")
@@ -150,7 +150,7 @@ class TestEliminate:
 class TestSimplify:
     def test_no_relators_means_free(self):
         alphabet = Alphabet("xx", "ab")
-        verdict, trace = simplify(Presentation.from_relators(alphabet, []))
+        verdict, trace = simplify(from_relators(alphabet, []))
         assert verdict == FreeOfRank(2, alphabet.generators)
         assert trace.steps == ()
 
@@ -204,25 +204,50 @@ class TestSimplify:
 
     def test_relator_with_an_eliminated_generator_rejected(self):
         abc = Alphabet("de", "abc")
-        live = frozenset({0, 2})  # b is eliminated
+        live = frozenset({abc.generator("a"), abc.generator("c")})  # b is eliminated
         with pytest.raises(AlphabetMismatchError, match="not over the live generators"):
             Presentation(abc, (w(abc, "a b"),), (Provenance(),), live)
 
+    # Members a b c does not hold: a of another language, the d past its end,
+    # and a bare int.
     @pytest.mark.parametrize(
-        "live",
-        [frozenset({-1}), frozenset({0, 1, 2, 99}), frozenset({"x"})],
+        "extra",
+        [Alphabet("tr", "abc").generator("a"), Alphabet("de", "abcd").generator("d"), 0],
         ids=["negative", "past-the-end", "not-an-id"],
     )
-    def test_live_id_that_names_no_generator_rejected(self, live):
-        with pytest.raises(ValueError, match="live ids must name generators"):
-            Presentation(Alphabet("de", "abc"), (), (), live)
+    def test_live_id_that_names_no_generator_rejected(self, extra):
+        abc = Alphabet("de", "abc")
+        with pytest.raises(ValueError, match="must be generators of the alphabet"):
+            Presentation(abc, (), (), abc.generator_set | {extra})
 
     def test_relator_that_is_not_cyclically_reduced_rejected(self):
-        abc, live = Alphabet("de", "abc"), frozenset({0, 1, 2})
+        abc = Alphabet("de", "abc")
+        live = abc.generator_set
         with pytest.raises(ValueError, match="not cyclically reduced"):
             Presentation(abc, (w(abc, "a b a^-1"),), (Provenance(),), live)
         for text in ("a", "a b a", "a^-1 b a^-1"):
             assert Presentation(abc, (w(abc, text),), (Provenance(),), live).relators
+
+    @pytest.mark.parametrize(
+        "limits, reason",
+        [
+            ({"max_rounds": 0}, "round limit reached"),
+            ({"max_relator_len": 2}, "relator length limit exceeded"),
+        ],
+    )
+    def test_unresolved_reason_names_the_bound_that_fired(self, limits, reason):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        verdict, _ = simplify(to_presentation(builtin_dataset("german")), **limits)
+        assert verdict.reason == reason
+
+    def test_unresolved_reason_without_a_bound(self):
+        verdict, _ = simplify(pres(Alphabet("xx", "a"), "a a"))
+        assert verdict.reason == "no relator with a single-occurrence generator"
+
+    def test_unresolved_verdicts_equal_whatever_their_reasons(self):
+        p = pres(DE, "a a")
+        assert Unresolved(p, "round limit reached") == Unresolved(p, "some other reason")
 
     def test_greedy_pick_eliminates_the_largest_id(self):
         abc = Alphabet("de", "abc")
@@ -263,7 +288,7 @@ class TestReplay:
 
     def test_empty_trace_on_free_presentation(self):
         alphabet = Alphabet("xx", "a")
-        p = Presentation.from_relators(alphabet, [])
+        p = from_relators(alphabet, [])
         verdict = replay(EliminationTrace((), p), p)
         assert verdict == FreeOfRank(1, alphabet.generators)
 
@@ -309,6 +334,36 @@ class TestReplay:
         with pytest.raises(TraceInvalidError) as err:
             replay(EliminationTrace(steps, trace.final), p)
         assert err.value.step_index == 1
+
+    def test_first_bad_step_is_named_before_a_later_one(self):
+        p = pres(DE, "a", "b a^-1", "c b^-1")
+        _, trace = simplify(p)
+        first, second, third = trace.steps
+        bad_solution = replace(first, solution=concat(first.solution, w(DE, "z")))
+        bad_index = replace(third, relator_index=99)
+        with pytest.raises(TraceInvalidError) as err:
+            replay(EliminationTrace((bad_solution, second, bad_index), trace.final), p)
+        assert err.value.step_index == 0
+
+    def test_forged_final_presentation_detected(self):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        p = to_presentation(builtin_dataset("german"))
+        _, trace = simplify(p, max_rounds=3)
+        final = trace.final
+        forged = Presentation(final.alphabet, final.relators[:1], final.origins[:1], final.live)
+        with pytest.raises(TraceInvalidError) as err:
+            replay(EliminationTrace(trace.steps, forged), p)
+        assert err.value.step_index == len(trace.steps)
+
+    def test_final_presentation_of_a_second_load_accepted(self):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        verdict, trace = simplify(to_presentation(builtin_dataset("german")), max_rounds=3)
+        again = to_presentation(builtin_dataset("german"))
+        assert again.alphabet is not trace.final.alphabet
+        # The verdicts differ only in their alphabets, which compare by identity.
+        assert replay(trace, again).remaining.relators == verdict.remaining.relators
 
     def test_one_step_too_many_detected(self):
         p = pres(DE, "a", "b a^-1", "c b^-1")
@@ -406,11 +461,11 @@ class TestEliminationProperties:
                 expected = [
                     oracle_core(substitute_oracle(u.letters, g, solution))
                     for u in p.relators
-                    if occurrences(u, g)
+                    if u.counts[g]
                 ]
                 for w in reduced.relators:
                     if any(w is u for u in p.relators):
-                        assert occurrences(w, g) == 0
+                        assert w.counts[g] == 0
                     else:
                         assert w.letters in expected
                         rebuilt += 1

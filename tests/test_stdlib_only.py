@@ -1,0 +1,31 @@
+"""The runtime imports nothing outside the standard library."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import json, sys
+before = set(sys.modules)
+import homophonic, homophonic.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(added)))
+"""
+
+
+def test_import_adds_only_standard_library_modules():
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    added = json.loads(out)
+    assert "homophonic" in added
+    foreign = [n for n in added if n != "homophonic" and n not in sys.stdlib_module_names]
+    assert foreign == []

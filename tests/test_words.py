@@ -29,7 +29,6 @@ from homophonic.words import (
     display,
     free_reduce,
     invert,
-    occurrences,
     parse_word,
     split_graphemes,
     substitute,
@@ -220,9 +219,9 @@ class TestSubstitute:
 class TestOccurrences:
     def test_counts_ignore_sign(self):
         word = w(DE, "w a w^-1")
-        assert occurrences(word, DE.generator("w")) == 2
-        assert occurrences(word, DE.generator("a")) == 1
-        assert occurrences(EMPTY_WORD, DE.generator("a")) == 0
+        assert word.counts[DE.generator("w")] == 2
+        assert word.counts[DE.generator("a")] == 1
+        assert EMPTY_WORD.counts[DE.generator("a")] == 0
 
 
 class TestDisplay:
@@ -316,7 +315,7 @@ class TestProperties:
         replacement = free_reduce(
             [sl for sl in replacement_raw if sl.gen != g]
         )
-        assert occurrences(substitute(word, g, replacement), g) == 0
+        assert substitute(word, g, replacement).counts[g] == 0
 
     @given(raw_letters)
     def test_counts_match_a_plain_scan(self, raw):

@@ -33,7 +33,7 @@ class NotEliminableError(ValueError):
 
 
 class TraceInvalidError(ValueError):
-    """A recorded elimination step fails its precondition on replay."""
+    """A trace differs from its re-run; ``step_index`` names the first place."""
 
     def __init__(self, step_index: int, message: str):
         self.step_index = step_index
@@ -81,7 +81,7 @@ class Presentation:
     a trace can always name the dataset record behind each elimination.
     """
 
-    alphabet: Alphabet
+    alphabet: Alphabet = field(compare=False)  # generators carry their language
     relators: tuple[Word, ...]
     origins: tuple[Provenance, ...]
     live: frozenset[Generator]
@@ -226,13 +226,12 @@ def _greedy_pick(p: Presentation, candidates: list[tuple[int, Generator]]):
 
 def _run(p: Presentation, choose, max_rounds: float, max_relator_len: float):
     """The elimination loop behind ``simplify`` and ``replay``: ``choose`` sees
-    the presentation and the steps so far and names the next (relator index,
-    generator) pair, or None to stop.  Every exit leaves a normalized
-    presentation."""
+    the presentation and names the next (relator index, generator) pair, or
+    None to stop.  Every exit leaves a normalized presentation."""
     p = normalize(p)
     steps: list[EliminationStep] = []
     reason = "no relator with a single-occurrence generator"
-    while (choice := choose(p, steps)) is not None:
+    while (choice := choose(p)) is not None:
         if len(steps) >= max_rounds:
             reason = "round limit reached"
             break
@@ -264,7 +263,7 @@ def simplify(
     """
     pick = pick or _greedy_pick
 
-    def choose(q: Presentation, _steps):
+    def choose(q: Presentation):
         candidates = eliminable(q)
         return pick(q, candidates) if candidates else None
 
@@ -272,33 +271,28 @@ def simplify(
 
 
 def replay(trace: EliminationTrace, p: Presentation) -> Verdict:
-    """Re-run the elimination loop on the recorded choices, checking each.
+    """Re-run the elimination loop on the recorded choices; each recorded step
+    must equal the re-run's, and ``trace.final`` its final presentation.  The
+    TraceInvalidError names the first step that differs or where the re-run
+    stops, else ``len(trace.steps)``."""
+    recorded = iter(trace.steps)
 
-    Raises TraceInvalidError with the index of the first step that does not
-    match the presentation it acts on, or ``len(trace.steps)`` when the run
-    ends elsewhere than ``trace.final``.
-    """
+    def choose(q: Presentation):
+        step = next(recorded, None)
+        if step and 0 <= step.relator_index < len(q.relators):
+            if q.relators[step.relator_index].counts[step.generator] == 1:
+                return step.relator_index, step.generator
+        return None
 
-    def choose(q: Presentation, applied: list[EliminationStep]):
-        # The step applied last is checked before the next one is read.
-        i = len(applied)
-        if i and applied[-1].solution != trace.steps[i - 1].solution:
-            raise TraceInvalidError(i - 1, "recorded solution does not match")
-        if i == len(trace.steps):
-            return None
-        step = trace.steps[i]
-        if not 0 <= step.relator_index < len(q.relators):
-            raise TraceInvalidError(i, f"relator index {step.relator_index} out of range")
-        if q.relators[step.relator_index].counts[step.generator] != 1:
-            raise TraceInvalidError(i, f"{step.generator.glyph!r} does not occur exactly once")
-        return step.relator_index, step.generator
-
-    verdict, replayed = _run(p, choose, math.inf, math.inf)
-    final = replayed.final  # field by field: alphabets compare by identity
-    if (final.relators, final.origins, final.live) != (
-        trace.final.relators, trace.final.origins, trace.final.live
-    ):
-        raise TraceInvalidError(len(trace.steps), "final presentation does not match")
+    verdict, rerun = _run(p, choose, math.inf, math.inf)
+    for i, step in enumerate(trace.steps):
+        if i == len(rerun.steps):
+            where = f"{step.generator.glyph!r} in relator {step.relator_index}"
+            raise TraceInvalidError(i, f"re-run stops: {where} is not eliminable")
+        if step != rerun.steps[i]:
+            raise TraceInvalidError(i, "recorded step differs from the re-run's step")
+    if rerun.final != trace.final:
+        raise TraceInvalidError(len(trace.steps), "final presentation differs from the re-run's")
     return verdict
 
 

@@ -42,6 +42,7 @@ from homophonic.words import (
     EMPTY_WORD,
     Alphabet,
     AlphabetMismatchError,
+    SignedLetter,
     Word,
     concat,
     cyclic_reduce,
@@ -249,6 +250,23 @@ class TestSimplify:
         p = pres(DE, "a a")
         assert Unresolved(p, "round limit reached") == Unresolved(p, "some other reason")
 
+    def test_two_loads_of_a_corpus_are_equal(self):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        first = to_presentation(builtin_dataset("german"))
+        again = to_presentation(builtin_dataset("german"))
+        assert first.alphabet is not again.alphabet
+        assert first == again
+        assert hash(first) == hash(again)
+
+    def test_two_loads_of_a_corpus_give_equal_bound_stopped_runs(self):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        first = simplify(to_presentation(builtin_dataset("german")), max_rounds=3)
+        again = simplify(to_presentation(builtin_dataset("german")), max_rounds=3)
+        assert isinstance(first[0], Unresolved)
+        assert first == again
+
     def test_greedy_pick_eliminates_the_largest_id(self):
         abc = Alphabet("de", "abc")
         verdict, trace = simplify(pres(abc, "a b"))
@@ -362,8 +380,7 @@ class TestReplay:
         verdict, trace = simplify(to_presentation(builtin_dataset("german")), max_rounds=3)
         again = to_presentation(builtin_dataset("german"))
         assert again.alphabet is not trace.final.alphabet
-        # The verdicts differ only in their alphabets, which compare by identity.
-        assert replay(trace, again).remaining.relators == verdict.remaining.relators
+        assert replay(trace, again) == verdict
 
     def test_one_step_too_many_detected(self):
         p = pres(DE, "a", "b a^-1", "c b^-1")
@@ -372,6 +389,53 @@ class TestReplay:
         with pytest.raises(TraceInvalidError) as err:
             replay(EliminationTrace(steps, trace.final), p)
         assert err.value.step_index == len(trace.steps)
+
+    @pytest.mark.parametrize("field", ["relator_index", "solution", "provenance", "generator"])
+    def test_a_step_with_one_field_changed_is_rejected_at_that_step(self, field):
+        def changed(step, live, rng):
+            if field == "relator_index":
+                return replace(step, relator_index=step.relator_index + 1)
+            if field == "solution":
+                extra = Word((SignedLetter(rng.choice(sorted(live)), rng.choice((1, -1))),))
+                return replace(step, solution=concat(step.solution, extra))
+            if field == "provenance":
+                return replace(step, provenance=Provenance(lhs="forged", rhs="1"))
+            others = sorted(live - {step.generator})
+            return replace(step, generator=rng.choice(others)) if others else None
+
+        rejected = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            p = random_presentation(rng)
+            _, trace = simplify(p)
+            if not trace.steps:
+                continue
+            k = rng.randrange(len(trace.steps))
+            live = p.live - {step.generator for step in trace.steps[:k]}
+            bad = changed(trace.steps[k], live, rng)
+            if bad is None:
+                continue
+            steps = trace.steps[:k] + (bad,) + trace.steps[k + 1 :]
+            with pytest.raises(TraceInvalidError) as err:
+                replay(EliminationTrace(steps, trace.final), p)
+            assert err.value.step_index == k, (seed, err.value)
+            rejected += 1
+        assert rejected >= 100
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{}, {"max_rounds": 2}, {"max_relator_len": 4}],
+        ids=["unbounded", "rounds2", "len4"],
+    )
+    def test_traces_of_a_random_pick_replay(self, limits):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        rng = random.Random(12)
+        corpora = [to_presentation(builtin_dataset(n)) for n in ("german", "korean", "turkish")]
+        randoms = [random_presentation(random.Random(seed)) for seed in range(100)]
+        for p in corpora + randoms:
+            verdict, trace = simplify(p, pick=lambda q, candidates: rng.choice(candidates), **limits)
+            assert replay(trace, p) == verdict
 
 
 class TestVerdictText:

@@ -3,12 +3,12 @@
 A presentation is simplified by repeatedly eliminating a generator that
 occurs exactly once in some relator: the relator is solved for that
 generator and the solution substituted into every other relator.  The
-whole history is recorded as a replayable trace.
+whole history is recorded as a trace of (relator, generator) steps, which
+``replay`` checks by applying each recorded pair again with ``eliminate``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -135,7 +135,7 @@ class Unresolved:
     """Simplification stopped with relators left over."""
 
     remaining: Presentation
-    reason: str = field(default="", compare=False)  # why the run stopped; replay cannot know
+    reason: str = field(default="", compare=False)  # why simplify stopped; empty from replay
 
 
 Verdict = Trivial | FreeOfRank | Unresolved
@@ -224,28 +224,13 @@ def _greedy_pick(p: Presentation, candidates: list[tuple[int, Generator]]):
     return best, max(gens)
 
 
-def _run(p: Presentation, choose, max_rounds: float, max_relator_len: float):
-    """The elimination loop behind ``simplify`` and ``replay``: ``choose`` sees
-    the presentation and names the next (relator index, generator) pair, or
-    None to stop.  Every exit leaves a normalized presentation."""
-    p = normalize(p)
-    steps: list[EliminationStep] = []
-    reason = "no relator with a single-occurrence generator"
-    while (choice := choose(p)) is not None:
-        if len(steps) >= max_rounds:
-            reason = "round limit reached"
-            break
-        p, step = eliminate(p, choice[1], choice[0])
-        steps.append(step)
-        if any(len(w) > max_relator_len for w in p.relators):
-            reason = "relator length limit exceeded"
-            break
-    trace = EliminationTrace(tuple(steps), p)
+def _verdict(p: Presentation, reason: str) -> Verdict:
+    """The verdict a final presentation gives; ``reason`` says why an unresolved run stopped."""
     if p.relators:
-        return Unresolved(p, reason), trace
+        return Unresolved(p, reason)
     if p.live:
-        return FreeOfRank(len(p.live), p.live_generators()), trace
-    return Trivial(), trace
+        return FreeOfRank(len(p.live), p.live_generators())
+    return Trivial()
 
 
 def simplify(
@@ -257,43 +242,44 @@ def simplify(
 ) -> tuple[Verdict, EliminationTrace]:
     """Run the elimination loop to a verdict and a replayable trace.
 
-    Each round picks an eliminable (relator, generator) pair and
-    eliminates.  Hitting either limit yields an Unresolved verdict rather
-    than an error.
+    Each round picks an eliminable (relator, generator) pair and eliminates.
+    Hitting either limit yields an Unresolved verdict whose ``reason`` names
+    it, not an error.  Every exit leaves a normalized presentation.
     """
     pick = pick or _greedy_pick
-
-    def choose(q: Presentation):
-        candidates = eliminable(q)
-        return pick(q, candidates) if candidates else None
-
-    return _run(p, choose, max_rounds, max_relator_len)
+    p = normalize(p)
+    steps: list[EliminationStep] = []
+    reason = "no relator with a single-occurrence generator"
+    while candidates := eliminable(p):
+        i, g = pick(p, candidates)
+        if len(steps) >= max_rounds:
+            reason = "round limit reached"
+            break
+        p, step = eliminate(p, g, i)
+        steps.append(step)
+        if any(len(w) > max_relator_len for w in p.relators):
+            reason = "relator length limit exceeded"
+            break
+    return _verdict(p, reason), EliminationTrace(tuple(steps), p)
 
 
 def replay(trace: EliminationTrace, p: Presentation) -> Verdict:
-    """Re-run the elimination loop on the recorded choices; each recorded step
-    must equal the re-run's, and ``trace.final`` its final presentation.  The
-    TraceInvalidError names the first step that differs or where the re-run
-    stops, else ``len(trace.steps)``."""
-    recorded = iter(trace.steps)
-
-    def choose(q: Presentation):
-        step = next(recorded, None)
-        if step and 0 <= step.relator_index < len(q.relators):
-            if q.relators[step.relator_index].counts[step.generator] == 1:
-                return step.relator_index, step.generator
-        return None
-
-    verdict, rerun = _run(p, choose, math.inf, math.inf)
+    """Apply the recorded (relator index, generator) pairs with ``eliminate``: each
+    recorded step must equal the one it makes, and ``trace.final`` the presentation
+    reached.  The TraceInvalidError names the first step that differs or that
+    ``eliminate`` refuses, else ``len(trace.steps)``.  An Unresolved reason is empty."""
+    q = normalize(p)
     for i, step in enumerate(trace.steps):
-        if i == len(rerun.steps):
+        try:
+            q, rerun = eliminate(q, step.generator, step.relator_index)
+        except NotEliminableError:
             where = f"{step.generator.glyph!r} in relator {step.relator_index}"
-            raise TraceInvalidError(i, f"re-run stops: {where} is not eliminable")
-        if step != rerun.steps[i]:
+            raise TraceInvalidError(i, f"re-run stops: {where} is not eliminable") from None
+        if rerun != step:
             raise TraceInvalidError(i, "recorded step differs from the re-run's step")
-    if rerun.final != trace.final:
+    if q != trace.final:
         raise TraceInvalidError(len(trace.steps), "final presentation differs from the re-run's")
-    return verdict
+    return _verdict(q, "")
 
 
 def describe_verdict(verdict: Verdict, eliminated: int | None = None) -> str:
@@ -305,9 +291,10 @@ def describe_verdict(verdict: Verdict, eliminated: int | None = None) -> str:
         basis = " ".join(g.glyph for g in verdict.basis)
         return f"verdict: free of rank {verdict.rank}; basis: {basis}"
     left = verdict.remaining
+    why = f"; {verdict.reason}" if verdict.reason else ""
     return (
         f"verdict: unresolved ({len(left.live)} generators live, "
-        f"{len(left.relators)} relators remain)"
+        f"{len(left.relators)} relators remain{why})"
     )
 
 

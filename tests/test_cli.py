@@ -114,6 +114,14 @@ class TestSimplify:
         assert code == 2
         assert out.startswith("verdict: unresolved (27 generators live")
 
+    def test_relator_length_limit_is_named(self, capsys):
+        code, out, _ = run(capsys, "simplify", GERMAN, "--max-relator-len", "2")
+        assert code == 2
+        assert out == (
+            "verdict: unresolved (29 generators live, 29 relators remain;"
+            " relator length limit exceeded)\n"
+        )
+
 
 class TestCertify:
     def test_korean_certificate(self, capsys):

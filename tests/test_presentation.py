@@ -422,6 +422,62 @@ class TestReplay:
             rejected += 1
         assert rejected >= 100
 
+    def test_replay_of_a_round_stopped_trace_has_no_reason(self):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        p = to_presentation(builtin_dataset("german"))
+        verdict, trace = simplify(p, max_rounds=3)
+        replayed = replay(trace, p)
+        assert verdict.reason == "round limit reached"
+        assert replayed == verdict
+        assert replayed.reason == ""
+
+    # On German's greedy trace no two adjacent steps commute, so a dropped or
+    # swapped step is caught at its own index.
+    def test_a_dropped_step_is_rejected_at_its_index(self):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        p = to_presentation(builtin_dataset("german"))
+        _, trace = simplify(p)
+        for k in range(len(trace.steps)):
+            steps = trace.steps[:k] + trace.steps[k + 1 :]
+            with pytest.raises(TraceInvalidError) as err:
+                replay(EliminationTrace(steps, trace.final), p)
+            assert err.value.step_index == k
+
+    def test_two_swapped_steps_are_rejected_at_the_first(self):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        p = to_presentation(builtin_dataset("german"))
+        _, trace = simplify(p)
+        for k in range(len(trace.steps) - 1):
+            steps = trace.steps[:k] + (trace.steps[k + 1], trace.steps[k]) + trace.steps[k + 2 :]
+            with pytest.raises(TraceInvalidError) as err:
+                replay(EliminationTrace(steps, trace.final), p)
+            assert err.value.step_index == k
+
+    def test_a_negative_relator_index_is_rejected(self):
+        # c is solved from the last relator, which index -1 also names in Python.
+        p = pres(ABC, "a b", "c")
+        _, trace = simplify(p)
+        assert trace.steps[0].relator_index == len(p.relators) - 1
+        steps = (replace(trace.steps[0], relator_index=-1),) + trace.steps[1:]
+        with pytest.raises(TraceInvalidError, match="is not eliminable") as err:
+            replay(EliminationTrace(steps, trace.final), p)
+        assert err.value.step_index == 0
+
+    def test_a_generator_eliminated_earlier_is_rejected(self):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        p = to_presentation(builtin_dataset("german"))
+        _, trace = simplify(p)
+        for k in range(1, len(trace.steps)):
+            bad = replace(trace.steps[k], generator=trace.steps[k - 1].generator)
+            steps = trace.steps[:k] + (bad,) + trace.steps[k + 1 :]
+            with pytest.raises(TraceInvalidError, match="is not eliminable") as err:
+                replay(EliminationTrace(steps, trace.final), p)
+            assert err.value.step_index == k
+
     @pytest.mark.parametrize(
         "limits",
         [{}, {"max_rounds": 2}, {"max_relator_len": 4}],
@@ -455,6 +511,18 @@ class TestVerdictText:
         verdict, _ = simplify(p)
         text = describe_verdict(verdict)
         assert text.startswith("verdict: unresolved (")
+
+    def test_unresolved_line_ends_with_the_reason(self):
+        verdict, _ = simplify(pres(Alphabet("xx", "a"), "a a"))
+        assert describe_verdict(verdict) == (
+            "verdict: unresolved (1 generators live, 1 relators remain;"
+            " no relator with a single-occurrence generator)"
+        )
+
+    def test_unresolved_line_without_a_reason(self):
+        verdict = Unresolved(pres(Alphabet("xx", "a"), "a a"))
+        text = describe_verdict(verdict)
+        assert text == "verdict: unresolved (1 generators live, 1 relators remain)"
 
     def test_trace_table_has_witness_column(self):
         provenance = Provenance("word-pair", "waage", "wage", "scales/(I) dare", "x")

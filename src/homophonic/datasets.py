@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 
 from . import hangul
@@ -191,7 +190,7 @@ BUILTIN_LANGUAGES = ("german", "korean", "turkish")
 
 
 def builtin_data_dir() -> Path:
-    return Path(str(resources.files("homophonic.data")))
+    return Path(__file__).with_name("data")
 
 
 def builtin_dataset(name: str) -> LanguageDataset:

@@ -44,8 +44,9 @@ TAIL_SPLIT = {
 CONSONANT_SET = frozenset(LEADS)
 VOWEL_SET = frozenset(VOWELS)
 
-_TAIL_INDEX = {jamo: i for i, jamo in enumerate(TAILS) if jamo}
-_TAIL_JOIN = {pair: cluster for cluster, pair in TAIL_SPLIT.items()}
+# The flattened jamo of each tail index, and each flattened tail's index.
+_TAIL_JAMO = ((),) + tuple(TAIL_SPLIT.get(tail, (tail,)) for tail in TAILS[1:])
+_TAIL_INDEX = {jamo: i for i, jamo in enumerate(_TAIL_JAMO)}
 
 
 class NotASyllableError(ValueError):
@@ -96,8 +97,7 @@ def _jamo(syllable: str, position: int | None = None) -> tuple[str, ...]:
     if not 0 <= index < SYLLABLE_COUNT:
         raise NotASyllableError(syllable, position)
     head = LEADS[index // (VOWEL_COUNT * TAIL_COUNT)], VOWELS[index // TAIL_COUNT % VOWEL_COUNT]
-    tail = TAILS[index % TAIL_COUNT]
-    return head if tail is None else head + TAIL_SPLIT.get(tail, (tail,))
+    return head + _TAIL_JAMO[index % TAIL_COUNT]
 
 
 def decompose_syllable(syllable: str) -> SyllableDecomposition:
@@ -107,17 +107,11 @@ def decompose_syllable(syllable: str) -> SyllableDecomposition:
 
 def compose_syllable(d: SyllableDecomposition) -> str:
     """Inverse of decompose_syllable; rejects tails with no cluster form."""
-    if len(d.tail) == 0:
-        tail_index = 0
-    elif len(d.tail) == 1:
-        tail_index = _TAIL_INDEX.get(d.tail[0], 0)
-        if not tail_index:
+    tail_index = _TAIL_INDEX.get(tuple(d.tail))
+    if tail_index is None:
+        if len(d.tail) == 1:
             raise InvalidTailError(f"{d.tail[0]!r} cannot end a syllable")
-    else:
-        cluster = _TAIL_JOIN.get(d.tail)
-        if cluster is None:
-            raise InvalidTailError(f"{'+'.join(d.tail)} is not a tail cluster")
-        tail_index = _TAIL_INDEX[cluster]
+        raise InvalidTailError(f"{'+'.join(d.tail)} is not a tail cluster")
     lead_index = LEADS.index(d.lead)
     vowel_index = VOWELS.index(d.vowel)
     code = SYLLABLE_BASE + (lead_index * VOWEL_COUNT + vowel_index) * TAIL_COUNT + tail_index

@@ -1,5 +1,6 @@
 import pytest
 
+from homophonic.abelianization import AbelianInvariants
 from homophonic.cli import main
 from homophonic.datasets import builtin_data_dir
 
@@ -148,6 +149,26 @@ class TestCertify:
         assert lines[1] == (
             "abelianization: free rank 0, torsion [2]; consistent: yes (unresolved)"
         )
+
+
+class TestInconsistentCertificate:
+    @pytest.fixture(autouse=True)
+    def wrong_invariants(self, monkeypatch):
+        monkeypatch.setattr(
+            "homophonic.cli.abelian_invariants", lambda p: AbelianInvariants(1, ())
+        )
+
+    def test_certify_exits_three(self, capsys):
+        code, out, _ = run(capsys, "certify", GERMAN)
+        assert code == 3
+        assert out.splitlines()[-1] == (
+            "abelianization: free rank 1, torsion []; consistent: no"
+        )
+
+    def test_report_exits_three(self, capsys):
+        code, out, _ = run(capsys, "report")
+        assert code == 3
+        assert "consistent: no" in out
 
 
 class TestDecompose:

@@ -195,6 +195,20 @@ class TestParsing:
         parse_dataset(text)
         assert len(builds) == 1
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("@alphabet a\n@language  \n", 2, "@language needs a tag"),
+            ("@language de\n@alphabet a\n@language tr\n", 3, "duplicate @language line"),
+        ],
+        ids=["no-tag", "duplicate"],
+    )
+    def test_bad_language_header_reports_its_line(self, text, line, message):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(text, source="bad.hq")
+        assert err.value.line == line
+        assert str(err.value) == f"bad.hq:{line}: {message}"
+
     def test_language_keyword_must_match_exactly(self):
         with pytest.raises(DatasetError) as err:
             parse_dataset("@languagex de\n@alphabet a\n")

@@ -45,12 +45,34 @@ class TestComposeSyllable:
         assert compose_syllable(SyllableDecomposition("ㄱ", "ㅏ", ("ㄱ", "ㅅ"))) == "갃"
 
     def test_invalid_tail_pair(self):
-        with pytest.raises(InvalidTailError):
+        with pytest.raises(InvalidTailError) as err:
             compose_syllable(SyllableDecomposition("ㄱ", "ㅏ", ("ㄱ", "ㄱ")))
+        assert str(err.value) == "ㄱ+ㄱ is not a tail cluster"
 
     def test_tense_lead_cannot_end_a_syllable(self):
-        with pytest.raises(InvalidTailError):
+        with pytest.raises(InvalidTailError) as err:
             compose_syllable(SyllableDecomposition("ㄱ", "ㅏ", ("ㄸ",)))
+        assert str(err.value) == "'ㄸ' cannot end a syllable"
+
+    @pytest.mark.parametrize(
+        "tail, syllable", [(["ㄱ"], "각"), (["ㄱ", "ㅅ"], "갃")], ids=["one", "two"]
+    )
+    def test_tail_given_as_a_list_composes(self, tail, syllable):
+        assert compose_syllable(SyllableDecomposition("ㄱ", "ㅏ", tail)) == syllable
+
+    @pytest.mark.parametrize(
+        "lead, vowel, tail, message",
+        [
+            ("ㅏ", "ㅏ", (), "lead 'ㅏ' is not a consonant"),
+            ("ㄱ", "ㄱ", (), "vowel 'ㄱ' is not a vowel"),
+            ("ㄱ", "ㅏ", ("ㅏ",), "bad tail"),
+            ("ㄱ", "ㅏ", ("ㄹ", "ㄱ", "ㅅ"), "bad tail"),
+        ],
+        ids=["lead", "vowel", "vowel-tail", "three-tails"],
+    )
+    def test_bad_part_rejected(self, lead, vowel, tail, message):
+        with pytest.raises(ValueError, match=message):
+            SyllableDecomposition(lead, vowel, tail)
 
     def test_round_trip_all_precomposed_syllables(self):
         for code in range(SYLLABLE_BASE, SYLLABLE_BASE + SYLLABLE_COUNT):
@@ -100,6 +122,12 @@ class TestParseJamo:
         with pytest.raises(JamoParseError) as err:
             parse_jamo(["ㅜ", "ㅅ"])
         assert err.value.position == 0
+
+    def test_only_a_lead_fits_before_the_first_vowel(self):
+        with pytest.raises(JamoParseError) as err:
+            parse_jamo(["ㄱ", "ㅅ", "ㅏ"])
+        assert err.value.position == 0
+        assert "only a lead fits" in str(err.value)
 
     def test_vowel_needs_a_lead(self):
         with pytest.raises(JamoParseError):

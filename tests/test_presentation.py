@@ -221,6 +221,20 @@ class TestSimplify:
         with pytest.raises(ValueError, match="must be generators of the alphabet"):
             Presentation(abc, (), (), abc.generator_set | {extra})
 
+    @pytest.mark.parametrize(
+        "relators, origins, message",
+        [
+            (("a b",), (), "origins must align with relators"),
+            (("a b", ""), (Provenance(), Provenance()), "empty relator"),
+        ],
+        ids=["misaligned", "empty"],
+    )
+    def test_malformed_relators_rejected(self, relators, origins, message):
+        abc = Alphabet("de", "abc")
+        words = tuple(w(abc, text) for text in relators)
+        with pytest.raises(ValueError, match=message):
+            Presentation(abc, words, origins, abc.generator_set)
+
     def test_relator_that_is_not_cyclically_reduced_rejected(self):
         abc = Alphabet("de", "abc")
         live = abc.generator_set

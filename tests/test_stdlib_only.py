@@ -9,27 +9,32 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# Run without ``site`` (``python -S``): ``site`` may preload third-party
+# packages, and an import of one by ``homophonic`` would then go unseen.
 PROBE = """
 import json, sys
 before = set(sys.modules)
 import homophonic, homophonic.cli
-added = {name.partition(".")[0] for name in set(sys.modules) - before}
+added = set(sys.modules) - before
 print(json.dumps(sorted(added)))
 """
 
 
 def test_import_adds_only_standard_library_modules():
     out = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-S", "-c", PROBE],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
     added = json.loads(out)
-    assert "homophonic" in added
-    foreign = [n for n in added if n != "homophonic" and n not in sys.stdlib_module_names]
+    top = {name.partition(".")[0] for name in added}
+    assert "homophonic" in top
+    foreign = [n for n in top if n != "homophonic" and n not in sys.stdlib_module_names]
     assert foreign == []
+    # The bundled corpora are found by path, not through the resources machinery.
+    assert "importlib.resources" not in added
 
 
 def test_sources_parse_as_python_3_10():

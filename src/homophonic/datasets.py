@@ -135,7 +135,7 @@ def _side_word(alphabet: Alphabet, language: str, kind: str, side: str) -> Word:
         glyphs = hangul.decompose_text(side)
     else:
         return alphabet.word(side)
-    return Word(tuple(alphabet.letter(glyph, i) for i, glyph in enumerate(glyphs)))
+    return alphabet.positive_word(glyphs)
 
 
 def load_dataset(path: str | Path) -> LanguageDataset:

@@ -80,6 +80,7 @@ class SyllableDecomposition:
     tail: tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "tail", tuple(self.tail))  # so a list or string tail hashes
         if self.lead not in CONSONANT_SET:
             raise ValueError(f"lead {self.lead!r} is not a consonant")
         if self.vowel not in VOWEL_SET:
@@ -107,7 +108,7 @@ def decompose_syllable(syllable: str) -> SyllableDecomposition:
 
 def compose_syllable(d: SyllableDecomposition) -> str:
     """Inverse of decompose_syllable; rejects tails with no cluster form."""
-    tail_index = _TAIL_INDEX.get(tuple(d.tail))
+    tail_index = _TAIL_INDEX.get(d.tail)
     if tail_index is None:
         if len(d.tail) == 1:
             raise InvalidTailError(f"{d.tail[0]!r} cannot end a syllable")

@@ -17,6 +17,7 @@ from .words import (
     AlphabetMismatchError,
     Generator,
     Word,
+    _reduced,
     concat,
     cyclic_reduce,
     display,
@@ -67,10 +68,17 @@ class Relation:
 def relator_from_relation(rel: Relation) -> Word:
     """Turn lhs = rhs into the cyclically reduced relator of lhs * rhs^-1.
 
-    The result may be empty when the relation is vacuous.
+    The sides' common suffix cancels and their common prefix conjugates, so only
+    what lies between is inverted.  The result may be empty when the relation is vacuous.
     """
-    core, _ = cyclic_reduce(concat(rel.lhs, invert(rel.rhs)))
-    return core
+    u, v = rel.lhs.letters, rel.rhs.letters
+    n, i, j = min(len(u), len(v)), 0, 0
+    while j < n and u[-1 - j] == v[-1 - j]:
+        j += 1
+    while i < n - j and u[i] == v[i]:
+        i += 1
+    rest = concat(_reduced(u[i : len(u) - j]), invert(_reduced(v[i : len(v) - j])))
+    return cyclic_reduce(rest)[0]
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,13 @@ class Alphabet:
     def word(self, text: str) -> "Word":
         """Tokenize plain text (no inverse marks) into a word, one generator
         per grapheme cluster."""
-        return Word(tuple(self.letter(c, i) for i, c in enumerate(split_graphemes(text))))
+        return self.positive_word(split_graphemes(text))
+
+    def positive_word(self, glyphs: Iterable[str]) -> "Word":
+        """The word of each glyph's positive letter; positive letters of one
+        alphabet never cancel, so no reduction walk runs."""
+        get = self._letters.get
+        return _reduced(tuple([get(c) or self.letter(c, i) for i, c in enumerate(glyphs)]))
 
 
 @dataclass(frozen=True)
@@ -201,8 +207,25 @@ def invert(w: Word) -> Word:
     return w.inverse
 
 
+def _same_alphabet(u: Word, v: Word) -> None:
+    """Reduced words hold one alphabet each, so their first letters decide."""
+    if u and v and u.letters[0].gen.language != v.letters[0].gen.language:
+        Word(u.letters[:1] + v.letters[:1])  # raises the mixed-alphabet error
+
+
+def _join(stack: list[SignedLetter], letters: tuple[SignedLetter, ...]) -> list[SignedLetter]:
+    """Extend the reduced ``stack`` by reduced ``letters``: they cancel only at the seam."""
+    k, n = 0, len(letters)
+    while stack and k < n and stack[-1].gen == letters[k].gen and stack[-1].sign != letters[k].sign:
+        stack.pop()
+        k += 1
+    stack.extend(letters[k:])
+    return stack
+
+
 def concat(u: Word, v: Word) -> Word:
-    return free_reduce(u.letters + v.letters)
+    _same_alphabet(u, v)
+    return _reduced(tuple(_join(list(u.letters), v.letters)))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -226,14 +249,17 @@ def substitute(w: Word, g: Generator, replacement: Word) -> Word:
         raise SelfReferenceError(f"replacement for {g.glyph!r} contains itself")
     if not w.counts[g]:
         return w
+    _same_alphabet(w, replacement)
     inverse_replacement = invert(replacement)
     out: list[SignedLetter] = []
     for sl in w.letters:
         if sl.gen == g:
-            out.extend(replacement.letters if sl.sign > 0 else inverse_replacement.letters)
+            _join(out, replacement.letters if sl.sign > 0 else inverse_replacement.letters)
+        elif out and out[-1].gen == sl.gen and out[-1].sign != sl.sign:
+            out.pop()  # the top came from a replacement, or a replacement uncovered it
         else:
             out.append(sl)
-    return free_reduce(out)
+    return _reduced(tuple(out))
 
 
 def display(w: Word, ascii_inverse: bool = False) -> str:

@@ -40,6 +40,17 @@ def reduce_oracle(letters: list[SignedLetter]) -> list[SignedLetter]:
         current = nxt
 
 
+def assert_reduced(w: Word) -> None:
+    """``w`` is freely reduced over one alphabet, by a scan of neighbouring
+    letters, and the checking constructor ``Word`` keeps its letters as they are."""
+    letters = w.letters
+    for i, (left, right) in enumerate(zip(letters, letters[1:])):
+        cancels = left.gen == right.gen and left.sign == -right.sign
+        assert not cancels, f"{display(w)} cancels at position {i}"
+    assert len({sl.gen.language for sl in letters}) <= 1, f"{display(w)} mixes alphabets"
+    assert Word(letters).letters == letters
+
+
 def strip_outer_oracle(
     letters: tuple[SignedLetter, ...]
 ) -> tuple[list[SignedLetter], list[SignedLetter]]:

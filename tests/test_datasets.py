@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_reduced, inverse_oracle, reduce_oracle, strip_outer_oracle
 from homophonic import datasets
 from homophonic.datasets import (
     BUILTIN_LANGUAGES,
@@ -126,6 +127,26 @@ class TestParsing:
         umlaut = to_relations(d)[0].lhs.letters[1].gen
         assert umlaut == d.alphabet().generator("\u00e4")
         assert umlaut.glyph == "\u00e4"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "# x\n@language xx\n@alphabet a b\nraw\ta+b\tb\tg\tr\nraw\tb\ta+c\tg\tr\n",
+                "f.hq:5: record ('b' = 'a+c'): unknown glyph 'c' at position 1",
+            ),
+            (
+                "@language ko\n@alphabet ㄱ ㅅ ㅜ\n\nword\t수\t숙\tg\tr\nword\t수\t사\tg\tr\n",
+                "f.hq:5: record ('수' = '사'): unknown glyph 'ㅏ' at position 1",
+            ),
+        ],
+        ids=["raw", "korean"],
+    )
+    def test_unknown_glyph_keeps_its_line_and_message(self, text, message):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(text, source="f.hq")
+        assert err.value.line == 5
+        assert str(err.value) == message
 
     def test_unknown_kind_rejected(self):
         text = "@language xx\n@alphabet a\noops\ta\ta\tg\tr\n"
@@ -363,6 +384,15 @@ class TestBuiltinCorpora:
         d = builtin_dataset(name)
         for relation in to_relations(d):
             assert relator_from_relation(relation), relation.provenance
+
+    @pytest.mark.parametrize("name", BUILTIN_LANGUAGES)
+    def test_relators_are_the_oracle_cores(self, name):
+        for relation in to_relations(builtin_dataset(name)):
+            assert_reduced(relation.lhs)
+            assert_reduced(relation.rhs)
+            unreduced = list(relation.lhs.letters) + inverse_oracle(relation.rhs.letters)
+            core, _ = strip_outer_oracle(tuple(reduce_oracle(unreduced)))
+            assert relator_from_relation(relation).letters == tuple(core), relation.provenance
 
     def test_dataset_keeps_its_words_and_alphabet(self):
         d = builtin_dataset("korean")

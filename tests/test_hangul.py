@@ -61,6 +61,19 @@ class TestComposeSyllable:
         assert compose_syllable(SyllableDecomposition("ㄱ", "ㅏ", tail)) == syllable
 
     @pytest.mark.parametrize(
+        "tail",
+        [["ㄱ"], ["ㄱ", "ㅅ"], "ㄱ", "ㄱㅅ"],
+        ids=["list-one", "list-two", "string-one", "string-two"],
+    )
+    def test_tail_given_as_a_list_or_string_is_the_tuple_value(self, tail):
+        given = SyllableDecomposition("ㄱ", "ㅏ", tail)
+        expected = SyllableDecomposition("ㄱ", "ㅏ", tuple(tail))
+        assert given == expected
+        assert hash(given) == hash(expected)
+        assert given.tail == tuple(tail)
+        assert given.jamo() == expected.jamo() == ("ㄱ", "ㅏ", *tail)
+
+    @pytest.mark.parametrize(
         "lead, vowel, tail, message",
         [
             ("ㅏ", "ㅏ", (), "lead 'ㅏ' is not a consonant"),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import homophonic.presentation
 from helpers import (
+    assert_reduced,
     from_relators,
     inverse_oracle,
     random_letters,
@@ -92,6 +93,18 @@ class TestRelatorFromRelation:
         v = Word(tuple(reduce_oracle(random_letters(rng, ABC, 10))))
         relator = relator_from_relation(Relation(u, v))
         assert relator.letters == oracle_core(list(u.letters) + inverse_oracle(v.letters))
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_sides_with_a_common_prefix_and_suffix(self, seed, equal):
+        # lhs = p a s and rhs = p b s, or the same word twice, which gives no relator.
+        rng = random.Random(seed)
+        p, a, b, s = (reduce_oracle(random_letters(rng, ABC, 6)) for _ in range(4))
+        u = Word(tuple(reduce_oracle(p + a + s)))
+        v = u if equal else Word(tuple(reduce_oracle(p + b + s)))
+        relator = relator_from_relation(Relation(u, v))
+        assert_reduced(relator)
+        assert relator.letters == oracle_core(list(u.letters) + inverse_oracle(v.letters))
+        assert not equal or relator == EMPTY_WORD
 
 
 class TestEliminate:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     SCRATCH,
+    assert_reduced,
     count_oracle,
     cyclic_key_oracle,
     cyclic_variants,
@@ -13,6 +14,7 @@ from helpers import (
     random_letters,
     reduce_oracle,
     strip_outer_oracle,
+    substitute_oracle,
 )
 from homophonic.words import (
     EMPTY_WORD,
@@ -216,6 +218,49 @@ class TestSubstitute:
         assert result == w(DE, "k^-1 h^-1")
 
 
+class TestReducedWhereMade:
+    """Words built without a reduction walk keep the checks the walk made."""
+
+    def test_substitute_rejects_a_replacement_from_another_alphabet(self):
+        with pytest.raises(AlphabetMismatchError, match="mixed alphabets: 'de' and 'tr'"):
+            substitute(w(DE, "a g b"), DE.generator("g"), w(TR, "a"))
+
+    @pytest.mark.parametrize(
+        "u, v, message",
+        [
+            (w(DE, "a b"), w(TR, "b^-1 c"), "mixed alphabets: 'de' and 'tr'"),
+            (w(TR, "a"), w(DE, "a^-1"), "mixed alphabets: 'tr' and 'de'"),
+        ],
+        ids=["de-tr", "tr-de"],
+    )
+    def test_concat_of_two_alphabets_names_both(self, u, v, message):
+        with pytest.raises(AlphabetMismatchError, match=message):
+            concat(u, v)
+
+    def test_a_replacement_that_cancels_away_lets_its_neighbours_cancel(self):
+        # b := a^-1 c a turns a b a^-1 into a a^-1 c a a^-1, which reduces to c.
+        result = substitute(w(ABC, "a b a^-1"), ABC.generator("b"), w(ABC, "a^-1 c a"))
+        assert result == w(ABC, "c")
+        assert_reduced(result)
+
+    def test_positive_word_is_the_walked_word(self):
+        glyphs = ["w", "a", "a", "g", "e"]
+        word = DE.positive_word(glyphs)
+        assert word == Word(tuple(DE.letter(c) for c in glyphs))
+        assert word == DE.word("waage")
+        assert_reduced(word)
+        assert DE.positive_word([]) == EMPTY_WORD
+
+    def test_positive_word_reads_a_decomposed_glyph_as_the_nfc_letter(self):
+        assert DE.positive_word(["a\u0308", "b"]) == DE.positive_word(["\u00e4", "b"])
+
+    def test_positive_word_names_the_unknown_glyph_and_its_position(self):
+        with pytest.raises(UnknownGlyphError) as err:
+            DE.positive_word(["a", "b", "?"])
+        assert (err.value.glyph, err.value.position) == ("?", 2)
+        assert str(err.value) == "unknown glyph '?' at position 2"
+
+
 class TestOccurrences:
     def test_counts_ignore_sign(self):
         word = w(DE, "w a w^-1")
@@ -269,6 +314,40 @@ def key_test_word(rng: random.Random, shape: str) -> Word:
 def cyclically_reduced(rng, alphabet, max_len):
     core, _ = strip_outer_oracle(tuple(reduce_oracle(random_letters(rng, alphabet, max_len))))
     return Word(tuple(core))
+
+
+reduced_words = st.builds(
+    lambda seed, n: Word(tuple(reduce_oracle(random_letters(random.Random(seed), ABC, n)))),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 12),
+)
+
+
+class TestReducedWhereMadeProperties:
+    """Each output is reduced and equals the oracle's reduction of the unreduced letters;
+    three letters make the pieces cancel against each other often."""
+
+    @given(reduced_words, reduced_words)
+    def test_concat_cancels_only_at_the_seam(self, u, v):
+        product = concat(u, v)
+        assert_reduced(product)
+        assert product.letters == tuple(reduce_oracle(list(u.letters) + list(v.letters)))
+
+    @given(reduced_words, reduced_words, st.integers(0, len(ABC) - 1))
+    def test_substitute_joins_pieces_at_their_seams(self, word, replacement, gen_index):
+        g = ABC[gen_index]
+        replacement = Word(tuple(sl for sl in replacement.letters if sl.gen != g))
+        result = substitute(word, g, replacement)
+        assert_reduced(result)
+        unreduced = substitute_oracle(word.letters, g, replacement.letters)
+        assert result.letters == tuple(reduce_oracle(unreduced))
+
+    @given(st.lists(st.sampled_from([g.glyph for g in SCRATCH]), max_size=24))
+    def test_positive_word_is_reduced(self, glyphs):
+        word = SCRATCH.positive_word(glyphs)
+        assert_reduced(word)
+        assert word.letters == tuple(reduce_oracle([SCRATCH.letter(c) for c in glyphs]))
+        assert SCRATCH.word("".join(glyphs)) == word
 
 
 class TestProperties:

@@ -8,24 +8,21 @@ here is exact integer arithmetic; Python integers never overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .presentation import FreeOfRank, Presentation, Trivial, Unresolved, Verdict
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
+class ExponentMatrix(NamedTuple):
     """Rows are relators, columns the live generators in id order."""
 
     generator_ids: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     free_rank: int
     torsion: tuple[int, ...]
 
@@ -35,7 +32,7 @@ def exponent_matrix(p: Presentation) -> ExponentMatrix:
     rows = []
     for w in p.relators:
         row = [0] * len(column)
-        for g, sign in w.letters:
+        for g, sign in w:
             row[column[g]] += sign
         rows.append(tuple(row))
     return ExponentMatrix(tuple(g.id for g in column), tuple(rows))

@@ -1,7 +1,8 @@
 """Homophone dataset files: format, validation, and the bundled corpora.
 
 A dataset file is UTF-8 text whose lines end at a line feed; a leading
-byte-order mark and a carriage return before a line feed are dropped.
+byte-order mark and a carriage return before a line feed are dropped, and
+any other carriage return in a record line or the language tag is an error.
 Header lines are ``@language <tag>`` and one or more ``@alphabet <glyph>
 <glyph> ...`` lines (concatenated in order); ``#`` starts a comment.
 Record lines carry five tab-separated fields:
@@ -98,12 +99,17 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
                 if language is not None:
                     raise DatasetError("duplicate @language line", lineno, source)
                 language = value.strip()
+                if "\t" in language or "\r" in language:
+                    message = f"language tag {language!r} holds a tab or a carriage return"
+                    raise DatasetError(message, lineno, source)
             elif keyword == "@alphabet":
                 glyphs.extend(value.split())
                 glyph_lines.extend([lineno] * (len(glyphs) - len(glyph_lines)))
             else:
                 raise DatasetError(f"unknown header {keyword!r}", lineno, source)
         else:
+            if "\r" in line:
+                raise DatasetError("record holds a carriage return", lineno, source)
             fields = line.split("\t")
             if len(fields) != RECORD_FIELDS:
                 raise DatasetError(

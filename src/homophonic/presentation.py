@@ -10,7 +10,7 @@ whole history is recorded as a trace of (relator, generator) steps, which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .words import (
     Alphabet,
@@ -41,8 +41,7 @@ class TraceInvalidError(ValueError):
         super().__init__(f"step {step_index}: {message}")
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """The dataset record that witnesses a relator."""
 
     kind: str = "raw"  # "word" or "raw"
@@ -56,8 +55,7 @@ class Provenance:
         return f"{pair} ({self.gloss})" if self.gloss else pair
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """An equation lhs = rhs between two words over one alphabet."""
 
     lhs: Word
@@ -71,7 +69,7 @@ def relator_from_relation(rel: Relation) -> Word:
     The sides' common suffix cancels and their common prefix conjugates, so only
     what lies between is inverted.  The result may be empty when the relation is vacuous.
     """
-    u, v = rel.lhs.letters, rel.rhs.letters
+    u, v = rel.lhs, rel.rhs
     n, i, j = min(len(u), len(v)), 0, 0
     while j < n and u[-1 - j] == v[-1 - j]:
         j += 1
@@ -107,7 +105,7 @@ class Presentation:
                     f"relator {display(w)} is not over the live generators"
                     f" of the {self.alphabet.language!r} alphabet"
                 )
-            first, last = w.letters[0], w.letters[-1]
+            first, last = w[0], w[-1]
             if first.gen == last.gen and first.sign != last.sign:
                 raise ValueError(f"relator {display(w)} is not cyclically reduced")
 
@@ -149,16 +147,14 @@ class Unresolved:
 Verdict = Trivial | FreeOfRank | Unresolved
 
 
-@dataclass(frozen=True)
-class EliminationStep:
+class EliminationStep(NamedTuple):
     generator: Generator
     solution: Word
     relator_index: int
     provenance: Provenance
 
 
-@dataclass(frozen=True)
-class EliminationTrace:
+class EliminationTrace(NamedTuple):
     steps: tuple[EliminationStep, ...]
     final: Presentation
 
@@ -196,9 +192,9 @@ def solve_for(relator: Word, g: Generator) -> Word:
         raise NotEliminableError(
             f"{g.glyph!r} occurs {relator.counts[g]} times in {display(relator)}"
         )
-    k = next(i for i, sl in enumerate(relator.letters) if sl.gen == g)
-    sign = relator.letters[k].sign
-    rest = Word(relator.letters[k + 1 :] + relator.letters[:k])
+    k = next(i for i, sl in enumerate(relator) if sl.gen == g)
+    sign = relator[k].sign
+    rest = Word(relator[k + 1 :] + relator[:k])
     return invert(rest) if sign > 0 else rest
 
 

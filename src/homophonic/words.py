@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -129,19 +128,18 @@ class Alphabet:
         """The word of each glyph's positive letter; positive letters of one
         alphabet never cancel, so no reduction walk runs."""
         get = self._letters.get
-        return _reduced(tuple([get(c) or self.letter(c, i) for i, c in enumerate(glyphs)]))
+        return _reduced([get(c) or self.letter(c, i) for i, c in enumerate(glyphs)])
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word, freely reduced on construction; the empty word is the identity."""
+class Word(tuple):
+    """A word, freely reduced on construction; the empty word is the identity.  It equals
+    the tuple of its letters; a slice is a plain tuple, and ``+`` is not ``concat``."""
 
-    letters: tuple[SignedLetter, ...] = ()
-
-    def __post_init__(self):
-        language = self.letters[0].gen.language if self.letters else None
+    def __new__(cls, letters: Iterable[SignedLetter] = ()):
+        letters = tuple(letters)
+        language = letters[0].gen.language if letters else None
         stack: list[SignedLetter] = []
-        for i, sl in enumerate(self.letters):
+        for i, sl in enumerate(letters):
             gen, sign = sl
             if sign not in (1, -1):
                 raise ValueError(f"bad sign {sign} at position {i}")
@@ -153,18 +151,27 @@ class Word:
                 stack.pop()
             else:
                 stack.append(sl)
-        object.__setattr__(self, "letters", tuple(stack))
+        return tuple.__new__(cls, stack)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete {name!r} of a Word")
+
+    __delattr__ = __setattr__
+
+    @property
+    def letters(self) -> tuple[SignedLetter, ...]:
+        return self
 
     @cached_property
     def counts(self) -> Mapping[Generator, int]:
         """Occurrences of each generator, ignoring sign, in order of id; 0 if absent."""
-        return MappingProxyType(Counter(sorted(sl.gen for sl in self.letters)))
+        return MappingProxyType(Counter(sorted(sl.gen for sl in self)))
 
     @cached_property
     def cyclic_key(self) -> tuple[int, ...]:
         """Least rotation of the word or of its inverse, letters as ±(id+1); equal
         exactly for words of one alphabet that are equal up to rotation and inversion."""
-        seq = [sl.sign * (sl.gen.id + 1) for sl in self.letters]
+        seq = [sl.sign * (sl.gen.id + 1) for sl in self]
         inv = [-x for x in reversed(seq)]
         least = min(seq + inv, default=0)  # every least rotation starts with it (Booth 1980)
         rotations = (v[k:] + v[:k] for v in (seq, inv) for k, x in enumerate(v) if x == least)
@@ -173,16 +180,7 @@ class Word:
     @cached_property
     def inverse(self) -> "Word":
         """The inverse word; reversing a freely reduced word keeps it reduced."""
-        return _reduced(tuple([sl.inverse() for sl in reversed(self.letters)]))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[SignedLetter]:
-        return iter(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
+        return _reduced([sl.inverse() for sl in reversed(self)])
 
     def __repr__(self) -> str:
         return f"Word({display(self)})"
@@ -191,16 +189,14 @@ class Word:
 EMPTY_WORD = Word()
 
 
-def _reduced(letters: tuple[SignedLetter, ...]) -> Word:
+def _reduced(letters: Iterable[SignedLetter]) -> Word:
     """A Word of letters already freely reduced over one alphabet, not walked again."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
-    return w
+    return tuple.__new__(Word, letters)
 
 
 def free_reduce(raw: Iterable[SignedLetter]) -> Word:
     """The unique freely reduced word equal to ``raw`` in the free group."""
-    return Word(tuple(raw))
+    return Word(raw)
 
 
 def invert(w: Word) -> Word:
@@ -209,8 +205,8 @@ def invert(w: Word) -> Word:
 
 def _same_alphabet(u: Word, v: Word) -> None:
     """Reduced words hold one alphabet each, so their first letters decide."""
-    if u and v and u.letters[0].gen.language != v.letters[0].gen.language:
-        Word(u.letters[:1] + v.letters[:1])  # raises the mixed-alphabet error
+    if u and v and u[0].gen.language != v[0].gen.language:
+        Word(u[:1] + v[:1])  # raises the mixed-alphabet error
 
 
 def _join(stack: list[SignedLetter], letters: tuple[SignedLetter, ...]) -> list[SignedLetter]:
@@ -225,7 +221,7 @@ def _join(stack: list[SignedLetter], letters: tuple[SignedLetter, ...]) -> list[
 
 def concat(u: Word, v: Word) -> Word:
     _same_alphabet(u, v)
-    return _reduced(tuple(_join(list(u.letters), v.letters)))
+    return _reduced(_join(list(u), v))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -235,12 +231,11 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     mutually inverse.  It is ``w`` itself when nothing peels off, and empty
     only when ``w`` is empty.
     """
-    ls = w.letters
-    i, j = 0, len(ls) - 1
-    while i < j and ls[i].gen == ls[j].gen and ls[i].sign != ls[j].sign:
+    i, j = 0, len(w) - 1
+    while i < j and w[i].gen == w[j].gen and w[i].sign != w[j].sign:
         i += 1
         j -= 1
-    return (_reduced(ls[i : j + 1]), _reduced(ls[:i])) if i else (w, EMPTY_WORD)
+    return (_reduced(w[i : j + 1]), _reduced(w[:i])) if i else (w, EMPTY_WORD)
 
 
 def substitute(w: Word, g: Generator, replacement: Word) -> Word:
@@ -252,23 +247,23 @@ def substitute(w: Word, g: Generator, replacement: Word) -> Word:
     _same_alphabet(w, replacement)
     inverse_replacement = invert(replacement)
     out: list[SignedLetter] = []
-    for sl in w.letters:
+    for sl in w:
         if sl.gen == g:
-            _join(out, replacement.letters if sl.sign > 0 else inverse_replacement.letters)
+            _join(out, replacement if sl.sign > 0 else inverse_replacement)
         elif out and out[-1].gen == sl.gen and out[-1].sign != sl.sign:
             out.pop()  # the top came from a replacement, or a replacement uncovered it
         else:
             out.append(sl)
-    return _reduced(tuple(out))
+    return _reduced(out)
 
 
 def display(w: Word, ascii_inverse: bool = False) -> str:
     """Render a word: glyphs joined by a middle dot, empty word as "1"."""
-    if not w.letters:
+    if not w:
         return EMPTY_WORD_DISPLAY
     mark = ASCII_INVERSE_MARK if ascii_inverse else INVERSE_MARK
     return LETTER_SEPARATOR.join(
-        sl.gen.glyph + (mark if sl.sign < 0 else "") for sl in w.letters
+        sl.gen.glyph + (mark if sl.sign < 0 else "") for sl in w
     )
 
 

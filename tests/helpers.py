@@ -51,6 +51,15 @@ def assert_reduced(w: Word) -> None:
     assert Word(letters).letters == letters
 
 
+def assert_exact_word(x) -> None:
+    """``x`` is a ``Word`` itself, not a plain tuple or a subclass, and its
+    derived facts can be read."""
+    assert type(x) is Word, f"{x!r} is a {type(x).__name__}, not a Word"
+    assert sum(x.counts.values()) == len(x)
+    assert len(x.cyclic_key) == len(x)
+    assert type(x.inverse) is Word and len(x.inverse) == len(x)
+
+
 def strip_outer_oracle(
     letters: tuple[SignedLetter, ...]
 ) -> tuple[list[SignedLetter], list[SignedLetter]]:

@@ -341,6 +341,51 @@ class TestRoundTrip:
             return
         assert parse_dataset(text) == d
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_every_parsed_dataset_serializes_and_parses_back_equal(self, data):
+        def mostly(common, rare):
+            return data.draw(rare if data.draw(st.integers(0, 3)) == 0 else common)
+
+        odd = st.text(st.sampled_from("ab #@+\t\r\x0c\u2028"), min_size=1, max_size=5)
+        language = mostly(st.sampled_from(["de", "d e", "#"]), odd)
+        glyphs = mostly(st.sampled_from(["a b", "a b \u00e4", "# @ a"]), odd)
+        lines = [f"@language {language}", f"@alphabet {glyphs}"]
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = mostly(st.sampled_from(["word", "raw"]), st.just("oops"))
+            side = st.sampled_from(["a", "ab", "a+b", ""])
+            fields = [kind, mostly(side, odd), mostly(side, odd), mostly(side, odd), "r"]
+            lines.append(mostly(st.just("\t".join(fields)), odd.map("# ".__add__)))
+        ending = st.sampled_from(["\n", "\r\n", "\r\r\n"])
+        text = "".join(line + data.draw(ending) for line in lines)
+        try:
+            d = parse_dataset(text)
+        except DatasetError:
+            return
+        assert parse_dataset(serialize_dataset(d)) == d
+
+    @pytest.mark.parametrize(
+        "text, line, named",
+        [
+            ("@language d\te\n@alphabet a\n", 1, "language tag 'd\\te' holds a tab"),
+            ("@language d\re\n@alphabet a\n", 1, "language tag 'd\\re' holds a tab"),
+            ("@language de\n@alphabet a\nword\ta\ta\tgl\ross\tr\n", 3, "carriage return"),
+            ("@language de\n@alphabet a\nword\ta\ta\tg\tr\r\r\n", 3, "carriage return"),
+        ],
+        ids=["tab-in-tag", "cr-in-tag", "cr-in-gloss", "two-crs-ending-a-record"],
+    )
+    def test_what_could_not_be_saved_is_a_located_load_error(self, text, line, named):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(text, source="f.hq")
+        assert err.value.line == line
+        assert named in str(err.value)
+
+    def test_carriage_returns_the_strip_or_split_drops_still_load(self):
+        text = "@language de\r\r\n@alphabet a b\r\r\n# note\r\r\nword\ta\tb\tg\tr\r\n"
+        d = parse_dataset(text)
+        assert (d.language, d.glyphs, len(d.records)) == ("de", ("a", "b"), 1)
+        assert parse_dataset(serialize_dataset(d)) == d
+
 
 class TestBuiltinCorpora:
     def test_german_shape(self):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 import homophonic.presentation
 from helpers import (
+    assert_exact_word,
     assert_reduced,
     from_relators,
     inverse_oracle,
@@ -17,7 +17,7 @@ from helpers import (
     strip_outer_oracle,
     substitute_oracle,
 )
-from homophonic.abelianization import abelian_invariants
+from homophonic.abelianization import abelian_invariants, exponent_matrix
 from homophonic.presentation import (
     EliminationTrace,
     FreeOfRank,
@@ -374,7 +374,7 @@ class TestReplay:
     def test_tampered_solution_detected(self):
         p = pres(DE, "a", "b a^-1", "c b^-1")
         _, trace = simplify(p)
-        bad_step = replace(trace.steps[1], solution=concat(trace.steps[1].solution, w(DE, "z")))
+        bad_step = trace.steps[1]._replace(solution=concat(trace.steps[1].solution, w(DE, "z")))
         steps = trace.steps[:1] + (bad_step,) + trace.steps[2:]
         with pytest.raises(TraceInvalidError) as err:
             replay(EliminationTrace(steps, trace.final), p)
@@ -384,8 +384,8 @@ class TestReplay:
         p = pres(DE, "a", "b a^-1", "c b^-1")
         _, trace = simplify(p)
         first, second, third = trace.steps
-        bad_solution = replace(first, solution=concat(first.solution, w(DE, "z")))
-        bad_index = replace(third, relator_index=99)
+        bad_solution = first._replace(solution=concat(first.solution, w(DE, "z")))
+        bad_index = third._replace(relator_index=99)
         with pytest.raises(TraceInvalidError) as err:
             replay(EliminationTrace((bad_solution, second, bad_index), trace.final), p)
         assert err.value.step_index == 0
@@ -421,14 +421,14 @@ class TestReplay:
     def test_a_step_with_one_field_changed_is_rejected_at_that_step(self, field):
         def changed(step, live, rng):
             if field == "relator_index":
-                return replace(step, relator_index=step.relator_index + 1)
+                return step._replace(relator_index=step.relator_index + 1)
             if field == "solution":
                 extra = Word((SignedLetter(rng.choice(sorted(live)), rng.choice((1, -1))),))
-                return replace(step, solution=concat(step.solution, extra))
+                return step._replace(solution=concat(step.solution, extra))
             if field == "provenance":
-                return replace(step, provenance=Provenance(lhs="forged", rhs="1"))
+                return step._replace(provenance=Provenance(lhs="forged", rhs="1"))
             others = sorted(live - {step.generator})
-            return replace(step, generator=rng.choice(others)) if others else None
+            return step._replace(generator=rng.choice(others)) if others else None
 
         rejected = 0
         for seed in range(300):
@@ -488,7 +488,7 @@ class TestReplay:
         p = pres(ABC, "a b", "c")
         _, trace = simplify(p)
         assert trace.steps[0].relator_index == len(p.relators) - 1
-        steps = (replace(trace.steps[0], relator_index=-1),) + trace.steps[1:]
+        steps = (trace.steps[0]._replace(relator_index=-1),) + trace.steps[1:]
         with pytest.raises(TraceInvalidError, match="is not eliminable") as err:
             replay(EliminationTrace(steps, trace.final), p)
         assert err.value.step_index == 0
@@ -499,7 +499,7 @@ class TestReplay:
         p = to_presentation(builtin_dataset("german"))
         _, trace = simplify(p)
         for k in range(1, len(trace.steps)):
-            bad = replace(trace.steps[k], generator=trace.steps[k - 1].generator)
+            bad = trace.steps[k]._replace(generator=trace.steps[k - 1].generator)
             steps = trace.steps[:k] + (bad,) + trace.steps[k + 1 :]
             with pytest.raises(TraceInvalidError, match="is not eliminable") as err:
                 replay(EliminationTrace(steps, trace.final), p)
@@ -644,3 +644,92 @@ class TestEliminationProperties:
                 invariants = abelian_invariants(p)
                 assert invariants.free_rank == 0
                 assert invariants.torsion == ()
+
+
+class TestEveryRelatorIsExactlyAWord:
+    """Relators, solutions and final relators are Words, never plain tuple slices."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_relators_and_solutions_are_words(self, seed):
+        rng = random.Random(seed)
+        prefix, suffix = random_letters(rng, ABC, 3), random_letters(rng, ABC, 3)
+        lhs = Word(prefix + random_letters(rng, ABC, 6) + suffix)
+        rhs = Word(prefix + random_letters(rng, ABC, 6) + suffix)
+        relator = relator_from_relation(Relation(lhs, rhs))
+        assert_exact_word(relator)
+        for g, n in relator.counts.items():
+            if n == 1:
+                assert_exact_word(solve_for(relator, g))
+
+    @pytest.mark.parametrize("name", ["german", "korean", "turkish"])
+    def test_every_word_of_a_corpus_trace_is_a_word(self, name):
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        p = to_presentation(builtin_dataset(name))
+        _, trace = simplify(p)
+        q = normalize(p)
+        words = list(q.relators)
+        for step in trace.steps:
+            q, _ = eliminate(q, step.generator, step.relator_index)
+            words += [step.solution, *q.relators]
+        words += trace.final.relators
+        for x in words:
+            assert_exact_word(x)
+
+
+def record_values() -> dict:
+    """One value of each record type, by type name."""
+    p = pres(DE, "a b", "b c")
+    _, trace = simplify(p)
+    return {
+        "Provenance": Provenance("word", "ab", "ba", "swap", "made up"),
+        "Relation": Relation(w(DE, "a"), w(DE, "b")),
+        "EliminationStep": trace.steps[0],
+        "EliminationTrace": trace,
+        "ExponentMatrix": exponent_matrix(p),
+        "AbelianInvariants": abelian_invariants(p),
+    }
+
+
+class TestWhichValuesAreTuples:
+    """The records are named tuples; the verdicts are not, so they keep their meaning."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["Provenance", "Relation", "EliminationStep", "EliminationTrace", "ExponentMatrix",
+         "AbelianInvariants"],
+    )
+    def test_a_record_is_the_tuple_of_its_fields(self, name):
+        record = record_values()[name]
+        assert type(record).__name__ == name
+        fields = tuple(getattr(record, f) for f in record._fields)
+        assert record == fields
+        assert hash(record) == hash(fields)
+        *head, last = record
+        assert (*head, last) == fields
+        changed = record._replace(**{record._fields[-1]: "changed"})
+        assert type(changed) is type(record)
+        assert changed == fields[:-1] + ("changed",)
+
+    def test_records_keep_their_reprs(self):
+        step = record_values()["EliminationStep"]
+        assert repr(step.provenance) == "Provenance(kind='raw', lhs='a·b', rhs='1', gloss='', ref='')"
+        assert repr(step) == (
+            "EliminationStep(generator=Generator(id=1, glyph='b', language='de'),"
+            " solution=Word(a⁻¹), relator_index=0, provenance=" + repr(step.provenance) + ")"
+        )
+
+    def test_trivial_is_not_the_empty_tuple(self):
+        assert Trivial() != ()
+
+    def test_free_of_rank_is_not_its_rank_and_basis(self):
+        basis = tuple(ABC.generators[:2])
+        assert FreeOfRank(2, basis) != (2, basis)
+
+    def test_trivial_is_not_free_of_rank_zero(self):
+        assert Trivial() != FreeOfRank(0, ())
+
+    def test_unresolved_equality_ignores_the_reason(self):
+        p = pres(ABC, "a a")
+        assert Unresolved(p, "round limit reached") == Unresolved(p, "")
+        assert Unresolved(p, "") != (p, "")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     SCRATCH,
+    assert_exact_word,
     assert_reduced,
     count_oracle,
     cyclic_key_oracle,
@@ -468,3 +469,74 @@ class TestProperties:
         same = v.letters in cyclic_variants(u.letters)
         assert (u.cyclic_key == v.cyclic_key) == same
         assert same or relation == "unrelated"
+
+
+class TestWordIsItsLetters:
+    """A Word is the tuple of its reduced letters; ``+`` is not the group product."""
+
+    @given(raw_letters)
+    def test_any_iterable_gives_the_reduced_tuple(self, raw):
+        expected = tuple(reduce_oracle(raw))
+        for source in (raw, tuple(raw), iter(raw), (sl for sl in raw)):
+            word = Word(source)
+            assert word == expected
+            assert hash(word) == hash(expected)
+
+    @given(raw_letters)
+    def test_sequence_operations_agree_with_letters(self, raw):
+        word = free_reduce(raw)
+        letters = word.letters
+        assert len(word) == len(letters)
+        assert bool(word) == bool(letters)
+        assert list(word) == list(letters)
+        assert [word[i] for i in range(-len(word), len(word))] == list(letters) * 2
+        assert word[1:-1] == letters[1:-1]
+        assert type(word[1:-1]) is tuple
+
+    def test_plus_joins_tuples_unreduced(self):
+        a = w(DE, "a")
+        joined = a + invert(a)
+        assert type(joined) is tuple
+        assert joined == (DE.letter("a"), DE.letter("a").inverse())
+        assert concat(a, invert(a)) == EMPTY_WORD
+
+    def test_repr_names_the_word(self):
+        assert repr(w(DE, "a b^-1")) == "Word(a·b⁻¹)"
+        assert repr(EMPTY_WORD) == "Word(1)"
+
+    @pytest.mark.parametrize("name", ["letters", "counts", "cyclic_key", "inverse", "extra"])
+    def test_attributes_cannot_be_assigned_or_deleted(self, name):
+        word = w(DE, "a b")
+        before = getattr(word, name, None)  # a derived fact is cached before the attempts
+        with pytest.raises(AttributeError):
+            setattr(word, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(word, name)
+        assert getattr(word, name, None) == before
+        assert word.counts[DE.generator("a")] == 1
+
+
+class TestEveryWordIsExactlyAWord:
+    """No output of the word functions is a plain tuple slice."""
+
+    @given(reduced_words, reduced_words, st.integers(0, len(ABC) - 1))
+    def test_word_functions_return_words(self, u, v, gen_index):
+        g = ABC[gen_index]
+        replacement = Word(sl for sl in v if sl.gen != g)
+        conjugate = concat(concat(v, u), invert(v))
+        tokens = " ".join(sl.gen.glyph + ("^-1" if sl.sign < 0 else "") for sl in conjugate)
+        glyphs = [sl.gen.glyph for sl in u]
+        outputs = [
+            concat(u, v),
+            substitute(u, g, replacement),
+            substitute(conjugate, g, replacement),
+            invert(u),
+            *cyclic_reduce(u),
+            *cyclic_reduce(conjugate),
+            ABC.positive_word(glyphs),
+            ABC.word("".join(glyphs)),
+            parse_word(ABC, tokens),
+            free_reduce(list(u) + list(v)),
+        ]
+        for x in outputs:
+            assert_exact_word(x)

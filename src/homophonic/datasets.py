@@ -20,13 +20,12 @@ records hold "+"-separated generator glyphs on each side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from . import hangul
 from .presentation import Presentation, Provenance, Relation
-from .words import Alphabet, AlphabetError, Word
+from .words import Alphabet, AlphabetError, Value, Word
 
 KOREAN_LANGUAGE_TAG = "ko"
 RECORD_FIELDS = 5
@@ -46,11 +45,11 @@ class DatasetError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class LanguageDataset:
-    language: str
-    glyphs: tuple[str, ...]
-    records: tuple[Provenance, ...]
+class LanguageDataset(Value):
+    __match_args__ = _compared = ("language", "glyphs", "records")  # __dict__ holds the caches
+
+    def __init__(self, language: str, glyphs: tuple[str, ...], records: tuple[Provenance, ...]):
+        self.__dict__.update(language=language, glyphs=glyphs, records=records)
 
     def alphabet(self) -> Alphabet:
         return self._alphabet

@@ -10,7 +10,7 @@ c+v+c, or c+v+c+c.  That flattening is uniquely parseable, which is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .words import Value
 
 SYLLABLE_BASE = 0xAC00
 SYLLABLE_COUNT = 11172
@@ -71,20 +71,19 @@ class InvalidTailError(ValueError):
     """A tail that no precomposed syllable can carry."""
 
 
-@dataclass(frozen=True)
-class SyllableDecomposition:
+class SyllableDecomposition(Value):
     """One syllable in flattened form: lead, vowel, and up to two tails."""
 
-    lead: str
-    vowel: str
-    tail: tuple[str, ...] = ()
+    __slots__ = __match_args__ = _compared = ("lead", "vowel", "tail")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tail", tuple(self.tail))  # so a list or string tail hashes
-        if self.lead not in CONSONANT_SET:
-            raise ValueError(f"lead {self.lead!r} is not a consonant")
-        if self.vowel not in VOWEL_SET:
-            raise ValueError(f"vowel {self.vowel!r} is not a vowel")
+    def __init__(self, lead: str, vowel: str, tail: tuple[str, ...] = ()):
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "vowel", vowel)
+        object.__setattr__(self, "tail", tuple(tail))  # so a list or string tail hashes
+        if lead not in CONSONANT_SET:
+            raise ValueError(f"lead {lead!r} is not a consonant")
+        if vowel not in VOWEL_SET:
+            raise ValueError(f"vowel {vowel!r} is not a vowel")
         if len(self.tail) > 2 or any(c not in CONSONANT_SET for c in self.tail):
             raise ValueError(f"bad tail {self.tail!r}")
 

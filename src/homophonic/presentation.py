@@ -9,13 +9,13 @@ whole history is recorded as a trace of (relator, generator) steps, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .words import (
     Alphabet,
     AlphabetMismatchError,
     Generator,
+    Value,
     Word,
     _reduced,
     concat,
@@ -79,31 +79,33 @@ def relator_from_relation(rel: Relation) -> Word:
     return cyclic_reduce(rest)[0]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """Alphabet, cyclically reduced relators, and the still-live generators.
 
     ``origins`` runs parallel to ``relators`` and survives substitution, so
     a trace can always name the dataset record behind each elimination.
     """
 
-    alphabet: Alphabet = field(compare=False)  # generators carry their language
-    relators: tuple[Word, ...]
-    origins: tuple[Provenance, ...]
-    live: frozenset[Generator]
+    __slots__ = __match_args__ = ("alphabet", "relators", "origins", "live")
+    _compared = __match_args__[1:]  # generators carry their language
 
-    def __post_init__(self):
-        if len(self.relators) != len(self.origins):
+    def __init__(self, alphabet: Alphabet, relators: tuple[Word, ...],
+                 origins: tuple[Provenance, ...], live: frozenset[Generator]):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "origins", origins)
+        object.__setattr__(self, "live", live)
+        if len(relators) != len(origins):
             raise ValueError("origins must align with relators")
-        if not self.live <= self.alphabet.generator_set:
+        if not live <= alphabet.generator_set:
             raise ValueError("live generators must be generators of the alphabet")
-        for w in self.relators:
+        for w in relators:
             if not w:
                 raise ValueError("empty relator")
-            if not w.counts.keys() <= self.live:
+            if not w.counts.keys() <= live:
                 raise AlphabetMismatchError(
                     f"relator {display(w)} is not over the live generators"
-                    f" of the {self.alphabet.language!r} alphabet"
+                    f" of the {alphabet.language!r} alphabet"
                 )
             first, last = w[0], w[-1]
             if first.gen == last.gen and first.sign != last.sign:
@@ -123,25 +125,31 @@ class Presentation:
         return tuple(sorted(self.live))
 
 
-@dataclass(frozen=True)
-class Trivial:
+class Trivial(Value):
     """Every generator was eliminated and no relator remains."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FreeOfRank:
+
+class FreeOfRank(Value):
     """No relator remains; the live generators form a free basis."""
 
-    rank: int
-    basis: tuple[Generator, ...]
+    __slots__ = __match_args__ = _compared = ("rank", "basis")
+
+    def __init__(self, rank: int, basis: tuple[Generator, ...]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "basis", basis)
 
 
-@dataclass(frozen=True)
-class Unresolved:
+class Unresolved(Value):
     """Simplification stopped with relators left over."""
 
-    remaining: Presentation
-    reason: str = field(default="", compare=False)  # why simplify stopped; empty from replay
+    __slots__ = __match_args__ = ("remaining", "reason")
+    _compared = ("remaining",)  # the reason says why simplify stopped; empty from replay
+
+    def __init__(self, remaining: Presentation, reason: str = ""):
+        object.__setattr__(self, "remaining", remaining)
+        object.__setattr__(self, "reason", reason)
 
 
 Verdict = Trivial | FreeOfRank | Unresolved

@@ -45,6 +45,34 @@ class SelfReferenceError(ValueError):
     """Substitution whose replacement still contains the replaced generator."""
 
 
+class Value:
+    """An immutable value, not a tuple: it equals and hashes by its ``_compared`` fields, and
+    shows, copies and pickles by its ``__match_args__``, through its validating constructor."""
+
+    __slots__ = __match_args__ = _compared = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._compared)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
 class Generator(NamedTuple):
     """One alphabet symbol; ``id`` is its 0-based position in the alphabet."""
 
@@ -153,10 +181,10 @@ class Word(tuple):
                 stack.append(sl)
         return tuple.__new__(cls, stack)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete {name!r} of a Word")
+    __setattr__ = __delattr__ = Value.__setattr__
 
-    __delattr__ = __setattr__
+    def __reduce__(self):
+        return Word, (tuple(self),)  # rebuilt, and so checked, from its letters
 
     @property
     def letters(self) -> tuple[SignedLetter, ...]:

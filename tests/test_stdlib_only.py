@@ -35,6 +35,8 @@ def test_import_adds_only_standard_library_modules():
     assert foreign == []
     # The bundled corpora are found by path, not through the resources machinery.
     assert "importlib.resources" not in added
+    # dataclasses pulls inspect, dis, ast and tokenize into every start-up.
+    assert {"dataclasses", "inspect"}.isdisjoint(added)
 
 
 def test_sources_parse_as_python_3_10():

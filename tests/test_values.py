@@ -1,0 +1,187 @@
+"""Values that are not tuples, and copying and pickling of every value.
+
+``Presentation``, the three verdicts, ``LanguageDataset`` and
+``SyllableDecomposition`` are immutable, compare and hash by their compared
+fields, show themselves as a dataclass would, and match positionally.  Every
+value, ``Word`` and the named tuples that hold words included, survives
+``copy.copy``, ``copy.deepcopy`` and a pickle round trip.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from homophonic.datasets import LanguageDataset, builtin_dataset, parse_dataset, to_presentation
+from homophonic.hangul import SyllableDecomposition
+from homophonic.presentation import (
+    FreeOfRank,
+    Presentation,
+    Provenance,
+    Trivial,
+    Unresolved,
+    simplify,
+)
+from homophonic.words import Alphabet, parse_word
+
+XY = Alphabet("x", "ab")
+SMALL = "@language x\n@alphabet a b\nraw\ta\tb\tg\tr\n"
+
+
+def small_presentation() -> Presentation:
+    """⟨a, b | a²⟩ with b already eliminated, so its live set shows in one order."""
+    return Presentation(XY, (parse_word(XY, "a a"),), (Provenance(),), frozenset({XY[0]}))
+
+
+def make(name: str):
+    """A freshly built value of the named class; two calls give equal values."""
+    return {
+        "Presentation": small_presentation,
+        "Trivial": Trivial,
+        "FreeOfRank": lambda: FreeOfRank(2, (XY[0], XY[1])),
+        "Unresolved": lambda: Unresolved(small_presentation(), "round limit reached"),
+        "LanguageDataset": lambda: parse_dataset(SMALL),
+        "SyllableDecomposition": lambda: SyllableDecomposition("ㄷ", "ㅏ", ["ㄹ", "ㄱ"]),
+    }[name]()
+
+
+FIELDS = {
+    "Presentation": ("alphabet", "relators", "origins", "live"),
+    "Trivial": (),
+    "FreeOfRank": ("rank", "basis"),
+    "Unresolved": ("remaining", "reason"),
+    "LanguageDataset": ("language", "glyphs", "records"),
+    "SyllableDecomposition": ("lead", "vowel", "tail"),
+}
+NAMES = list(FIELDS)
+
+# The strings these classes showed as frozen dataclasses.
+GEN_A = "Generator(id=0, glyph='a', language='x')"
+GEN_B = "Generator(id=1, glyph='b', language='x')"
+PRESENTATION = (
+    "Presentation(alphabet=Alphabet('x', 2 generators), relators=(Word(a·a),),"
+    " origins=(Provenance(kind='raw', lhs='', rhs='', gloss='', ref=''),),"
+    f" live=frozenset({{{GEN_A}}}))"
+)
+REPRS = {
+    "Presentation": PRESENTATION,
+    "Trivial": "Trivial()",
+    "FreeOfRank": f"FreeOfRank(rank=2, basis=({GEN_A}, {GEN_B}))",
+    "Unresolved": f"Unresolved(remaining={PRESENTATION}, reason='round limit reached')",
+    "LanguageDataset": (
+        "LanguageDataset(language='x', glyphs=('a', 'b'),"
+        " records=(Provenance(kind='raw', lhs='a', rhs='b', gloss='g', ref='r'),))"
+    ),
+    "SyllableDecomposition": "SyllableDecomposition(lead='ㄷ', vowel='ㅏ', tail=('ㄹ', 'ㄱ'))",
+}
+
+
+def positional(value) -> tuple:
+    """The fields a class pattern binds by position."""
+    match value:
+        case Presentation(alphabet, relators, origins, live):
+            return alphabet, relators, origins, live
+        case Trivial():
+            return ()
+        case FreeOfRank(rank, basis):
+            return rank, basis
+        case Unresolved(remaining, reason):
+            return remaining, reason
+        case LanguageDataset(language, glyphs, records):
+            return language, glyphs, records
+        case SyllableDecomposition(lead, vowel, tail):
+            return lead, vowel, tail
+    raise AssertionError(f"no pattern matched {value!r}")
+
+
+class TestValueContracts:
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("attr", ["field", "extra"])
+    def test_attributes_cannot_be_assigned_or_deleted(self, name, attr):
+        value = make(name)
+        names = FIELDS[name] if attr == "field" else ("extra",)
+        for field in names:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        assert repr(value) == REPRS[name]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_equal_values_hash_equal_and_are_not_tuples(self, name):
+        first, again = make(name), make(name)
+        assert first is not again
+        assert first == again
+        assert hash(first) == hash(again)
+        assert first != tuple(getattr(first, f) for f in FIELDS[name])
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_repr_is_the_dataclass_form(self, name):
+        assert repr(make(name)) == REPRS[name]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_class_patterns_match_by_position(self, name):
+        value = make(name)
+        assert type(value).__match_args__ == FIELDS[name]
+        assert positional(value) == tuple(getattr(value, f) for f in FIELDS[name])
+
+    def test_the_constructors_keep_their_defaults(self):
+        assert Unresolved(small_presentation()).reason == ""
+        assert SyllableDecomposition("ㄱ", "ㅏ").tail == ()
+
+
+def a_word():
+    """A word whose cached facts, ``counts`` among them, are already read."""
+    word = parse_word(XY, "a b a^-1")
+    word.counts, word.cyclic_key, word.inverse
+    return word
+
+
+def copied_values() -> dict:
+    """One value of each kind, with every cached fact of its words already read."""
+    german = to_presentation(builtin_dataset("german"))
+    trivial, trace = simplify(german)
+    free, _ = simplify(to_presentation(builtin_dataset("korean")))
+    unresolved, _ = simplify(small_presentation())
+    return {
+        "Word": a_word(),
+        "Presentation": german,
+        "EliminationTrace": trace,
+        "Trivial": trivial,
+        "FreeOfRank": free,
+        "Unresolved": unresolved,
+        "LanguageDataset": builtin_dataset("korean"),
+        "SyllableDecomposition": SyllableDecomposition("ㄷ", "ㅏ", ("ㄹ", "ㄱ")),
+    }
+
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("copier", list(COPIERS))
+    @pytest.mark.parametrize("name", ["Word", "EliminationTrace"] + NAMES)
+    def test_round_trip_gives_an_equal_value(self, name, copier):
+        value = copied_values()[name]
+        assert type(value).__name__ == name
+        copied = COPIERS[copier](value)
+        assert type(copied) is type(value)
+        assert copied == value
+        assert getattr(copied, "reason", None) == getattr(value, "reason", None)
+
+    def test_a_copied_word_counts_again(self):
+        word = a_word()
+        copied = pickle.loads(pickle.dumps(word))
+        assert copied.counts == word.counts
+        assert copied.inverse == word.inverse
+
+    @pytest.mark.parametrize("name", NAMES + ["Word"])
+    def test_a_value_is_rebuilt_through_its_constructor(self, name):
+        value = a_word() if name == "Word" else make(name)
+        cls, args = value.__reduce__()
+        assert cls is type(value)
+        assert cls(*args) == value

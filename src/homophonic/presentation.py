@@ -1,10 +1,10 @@
 """Finitely presented groups: relators, greedy generator elimination, traces.
 
-A presentation is simplified by repeatedly eliminating a generator that
-occurs exactly once in some relator: the relator is solved for that
-generator and the solution substituted into every other relator.  The
-whole history is recorded as a trace of (relator, generator) steps, which
-``replay`` checks by applying each recorded pair again with ``eliminate``.
+A presentation is simplified by repeatedly eliminating a generator that occurs exactly
+once in some relator: the relator is solved for it and the solution substituted into
+the others.  ``simplify`` keeps the relators in slots, rebuilds only those that hold the
+generator and builds one ``Presentation``, at the end.  ``replay`` checks its trace of
+(relator, generator) steps by applying each recorded pair again with ``eliminate``.
 """
 
 from __future__ import annotations
@@ -91,25 +91,16 @@ class Presentation(Value):
 
     def __init__(self, alphabet: Alphabet, relators: tuple[Word, ...],
                  origins: tuple[Provenance, ...], live: frozenset[Generator]):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "relators", relators)
-        object.__setattr__(self, "origins", origins)
-        object.__setattr__(self, "live", live)
         if len(relators) != len(origins):
             raise ValueError("origins must align with relators")
         if not live <= alphabet.generator_set:
             raise ValueError("live generators must be generators of the alphabet")
-        for w in relators:
-            if not w:
-                raise ValueError("empty relator")
-            if not w.counts.keys() <= live:
-                raise AlphabetMismatchError(
-                    f"relator {display(w)} is not over the live generators"
-                    f" of the {alphabet.language!r} alphabet"
-                )
-            first, last = w[0], w[-1]
-            if first.gen == last.gen and first.sign != last.sign:
-                raise ValueError(f"relator {display(w)} is not cyclically reduced")
+        _check_relators(alphabet, live, relators)
+        _trusted(alphabet, relators, origins, live, into=self)
+
+    def __repr__(self) -> str:  # ``live`` in id order, whatever the hash seed
+        live = "{" + ", ".join(map(repr, self.live_generators())) + "}" if self.live else ""
+        return super().__repr__().removesuffix(f"{self.live!r})") + f"frozenset({live}))"
 
     @classmethod
     def from_relations(
@@ -123,6 +114,25 @@ class Presentation(Value):
 
     def live_generators(self) -> tuple[Generator, ...]:
         return tuple(sorted(self.live))
+
+
+def _check_relators(alphabet, live, relators) -> None:  # nonempty, over live, cyclically reduced
+    for w in relators:
+        if not w:
+            raise ValueError("empty relator")
+        if not w.counts.keys() <= live:
+            raise AlphabetMismatchError(f"relator {display(w)} is not over the live generators"
+                                        f" of the {alphabet.language!r} alphabet")
+        if w[0].gen == w[-1].gen and w[0].sign != w[-1].sign:
+            raise ValueError(f"relator {display(w)} is not cyclically reduced")
+
+
+def _trusted(*fields, into: Presentation | None = None) -> Presentation:
+    """A presentation of relators already checked over its live set: no check runs."""
+    p = object.__new__(Presentation) if into is None else into
+    for name, value in zip(Presentation.__slots__, fields):
+        object.__setattr__(p, name, value)
+    return p
 
 
 class Trivial(Value):
@@ -167,7 +177,7 @@ class EliminationTrace(NamedTuple):
     final: Presentation
 
 
-def _collect(alphabet, live, cores, origins, dedup: bool = False) -> Presentation:
+def _collect(alphabet, live, cores, origins, dedup: bool = False, build=Presentation):
     """A presentation of the nonempty cyclically reduced ``cores``; with
     ``dedup``, also without duplicates up to rotation and inversion."""
     seen: set[tuple] = set()
@@ -182,7 +192,7 @@ def _collect(alphabet, live, cores, origins, dedup: bool = False) -> Presentatio
             seen.add(w.cyclic_key)
         kept.append(w)
         kept_origins.append(origin)
-    return Presentation(alphabet, tuple(kept), tuple(kept_origins), live)
+    return build(alphabet, tuple(kept), tuple(kept_origins), live)
 
 
 def normalize(p: Presentation) -> Presentation:
@@ -211,29 +221,24 @@ def eliminate(
 ) -> tuple[Presentation, EliminationStep]:
     """Eliminate ``g`` using the relator at ``relator_index``.
 
-    The relator must contain ``g`` exactly once.  The solution replaces ``g``
-    in the relators that hold it (the rest pass through) and the cores are
-    normalized, so the solved relator drops out; ``g`` leaves the live set.
+    The relator must contain ``g`` exactly once.  The solution replaces ``g`` in the
+    relators that hold it, and only these are checked again; the rest pass through.  The
+    cores are normalized, so the solved relator drops out; ``g`` leaves the live set.
     """
     if not 0 <= relator_index < len(p.relators):
         raise NotEliminableError(f"no relator at index {relator_index}")
     solution = solve_for(p.relators[relator_index], g)
-    cores = [cyclic_reduce(substitute(w, g, solution))[0] if w.counts[g] else w for w in p.relators]
+    live = p.live - {g}
+    cores = [cyclic_reduce(substitute(w, g, solution))[0] if g in w.counts else w
+             for w in p.relators]
+    _check_relators(p.alphabet, live, [c for c, w in zip(cores, p.relators) if c and c is not w])
     step = EliminationStep(g, solution, relator_index, p.origins[relator_index])
-    return _collect(p.alphabet, p.live - {g}, cores, p.origins, dedup=True), step
+    return _collect(p.alphabet, live, cores, p.origins, True, _trusted), step
 
 
 def eliminable(p: Presentation) -> list[tuple[int, Generator]]:
     """All (relator index, generator) pairs where the generator occurs once."""
     return [(i, g) for i, w in enumerate(p.relators) for g, n in w.counts.items() if n == 1]
-
-
-def _greedy_pick(p: Presentation, candidates: list[tuple[int, Generator]]):
-    """Shortest relator wins; ties break on relator index, then on the
-    largest generator id so that earlier-alphabet letters survive."""
-    best = min({i for i, _ in candidates}, key=lambda i: (len(p.relators[i]), i))
-    gens = [g for i, g in candidates if i == best]
-    return best, max(gens)
 
 
 def _verdict(p: Presentation, reason: str) -> Verdict:
@@ -254,25 +259,50 @@ def simplify(
 ) -> tuple[Verdict, EliminationTrace]:
     """Run the elimination loop to a verdict and a replayable trace.
 
-    Each round picks an eliminable (relator, generator) pair and eliminates.
-    Hitting either limit yields an Unresolved verdict whose ``reason`` names
-    it, not an error.  Every exit leaves a normalized presentation.
+    A round eliminates the largest-id single-occurrence generator of the shortest relator
+    that has one, the lowest index on a tie, so earlier-alphabet letters survive; a ``pick``
+    hook chooses instead, from the presentation and its ``eliminable`` pairs.  Hitting a
+    limit yields an Unresolved verdict whose ``reason`` names it, not an error.
     """
-    pick = pick or _greedy_pick
     p = normalize(p)
-    steps: list[EliminationStep] = []
+    slots: list[Word | None] = list(p.relators)  # None once dropped; an index is a slot's rank
+    where = {w.cyclic_key: s for s, w in enumerate(slots)}  # stale keys name eliminated letters
+    singles = [[g for g, n in w.counts.items() if n == 1] for w in slots]  # in order of id
+    live, steps = p.live, []
     reason = "no relator with a single-occurrence generator"
-    while candidates := eliminable(p):
-        i, g = pick(p, candidates)
+    while True:
+        if pick is None:
+            best = min(((len(w), s) for s, w in enumerate(slots) if w and singles[s]), default=None)
+            if best is None:
+                break
+            s, g = best[1], singles[best[1]][-1]
+        else:
+            q = _collect(p.alphabet, live, slots, p.origins, build=_trusted)
+            if not (candidates := eliminable(q)):
+                break
+            i, g = pick(q, candidates)
+            if not 0 <= i < len(q.relators):
+                raise NotEliminableError(f"no relator at index {i}")
+            s = where[q.relators[i].cyclic_key]
         if len(steps) >= max_rounds:
             reason = "round limit reached"
             break
-        p, step = eliminate(p, g, i)
-        steps.append(step)
-        if any(len(w) > max_relator_len for w in p.relators):
+        solution = solve_for(slots[s], g)
+        steps.append(EliminationStep(g, solution, s - slots[:s].count(None), p.origins[s]))
+        live = live - {g}
+        for t in [t for t, w in enumerate(slots) if w and g in w.counts]:  # in slot order
+            core = cyclic_reduce(substitute(slots[t], g, solution))[0]
+            slots[t] = None
+            if not core or (other := where.get(core.cyclic_key, t)) < t:
+                continue  # the solved relator, or one equal to an earlier relator
+            slots[other] = None  # a later relator equal to the rebuilt one
+            where[core.cyclic_key], slots[t] = t, core
+            singles[t] = [h for h, n in core.counts.items() if n == 1]
+        if max(map(len, filter(None, slots)), default=0) > max_relator_len:
             reason = "relator length limit exceeded"
             break
-    return _verdict(p, reason), EliminationTrace(tuple(steps), p)
+    final = _collect(p.alphabet, live, slots, p.origins)
+    return _verdict(final, reason), EliminationTrace(tuple(steps), final)
 
 
 def replay(trace: EliminationTrace, p: Presentation) -> Verdict:

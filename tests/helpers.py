@@ -2,6 +2,8 @@
 
 Everything here is deliberately written without reusing the library's own
 algorithms, so tests can cross-check implementations against brute force.
+The exception is ``reference_simplify``: the loop ``simplify`` ran before it
+kept a working state, one presentation per round through ``eliminate``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,20 @@ from itertools import combinations
 from math import gcd
 
 from homophonic.hangul import CONSONANT_SET, VOWEL_SET
-from homophonic.presentation import Presentation, Provenance, Relation
+from homophonic.presentation import (
+    DEFAULT_MAX_RELATOR_LEN,
+    DEFAULT_MAX_ROUNDS,
+    EliminationTrace,
+    FreeOfRank,
+    Presentation,
+    Provenance,
+    Relation,
+    Trivial,
+    Unresolved,
+    eliminable,
+    eliminate,
+    normalize,
+)
 from homophonic.words import EMPTY_WORD, Alphabet, SignedLetter, Word, cyclic_reduce, display
 
 # A wide scratch alphabet for randomized word tests (38 glyphs).
@@ -152,6 +167,42 @@ def from_relators(alphabet: Alphabet, relators: list[Word]) -> Presentation:
         alphabet,
         [Relation(c, EMPTY_WORD, Provenance(lhs=display(c), rhs="1")) for c in cores],
     )
+
+
+def greedy_pick(p: Presentation, candidates):
+    """The shortest relator, then the lowest index, then the largest generator id."""
+    return min(candidates, key=lambda c: (len(p.relators[c[0]]), c[0], -c[1].id))
+
+
+def reference_simplify(
+    p: Presentation,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    max_relator_len: int = DEFAULT_MAX_RELATOR_LEN,
+    pick=greedy_pick,
+):
+    """The elimination loop as one presentation per round: ``normalize``, then
+    ``eliminable``, the pick, ``eliminate`` and the length check over every
+    relator.  It returns what ``simplify`` does, reason included."""
+    p = normalize(p)
+    steps = []
+    reason = "no relator with a single-occurrence generator"
+    while candidates := eliminable(p):
+        i, g = pick(p, candidates)
+        if len(steps) >= max_rounds:
+            reason = "round limit reached"
+            break
+        p, step = eliminate(p, g, i)
+        steps.append(step)
+        if any(len(w) > max_relator_len for w in p.relators):
+            reason = "relator length limit exceeded"
+            break
+    if p.relators:
+        verdict = Unresolved(p, reason)
+    elif p.live:
+        verdict = FreeOfRank(len(p.live), tuple(sorted(p.live, key=lambda g: g.id)))
+    else:
+        verdict = Trivial()
+    return verdict, EliminationTrace(tuple(steps), p)
 
 
 def _reduce_to_word(letters: list[SignedLetter]) -> Word:

@@ -9,10 +9,12 @@ from helpers import (
     assert_exact_word,
     assert_reduced,
     from_relators,
+    greedy_pick,
     inverse_oracle,
     random_letters,
     random_presentation,
     reduce_oracle,
+    reference_simplify,
     solve_oracle,
     strip_outer_oracle,
     substitute_oracle,
@@ -315,6 +317,143 @@ class TestSimplify:
         second = simplify(p)
         assert render_trace(first[1], first[0]) == render_trace(second[1], second[0])
         assert machine_trace(first[1]) == machine_trace(second[1])
+
+
+LIMITS = [{}, {"max_rounds": 1}, {"max_rounds": 2}, {"max_relator_len": 4}, {"max_relator_len": 6}]
+LIMIT_IDS = ["unbounded", "rounds1", "rounds2", "len4", "len6"]
+
+
+def corpus_presentations() -> list[Presentation]:
+    from homophonic.datasets import builtin_dataset, to_presentation
+
+    return [to_presentation(builtin_dataset(n)) for n in ("german", "korean", "turkish")]
+
+
+def assert_same_run(got, want) -> None:
+    """Equal verdicts of one kind with one reason, and equal traces, ``final`` included."""
+    assert type(got[0]) is type(want[0])
+    assert got == want
+    assert getattr(got[0], "reason", None) == getattr(want[0], "reason", None)
+
+
+def recording(pick, seen: list):
+    """``pick``, noting each presentation and candidate list it is shown."""
+
+    def hook(q, candidates):
+        seen.append((q, candidates))
+        return pick(q, candidates)
+
+    return hook
+
+
+class TestWorkingState:
+    """``simplify`` keeps slots, not a presentation per round; the loop that builds
+    one per round with ``eliminate`` (``reference_simplify``) is its oracle."""
+
+    @pytest.mark.parametrize("limits", LIMITS, ids=LIMIT_IDS)
+    def test_simplify_is_the_reference_loop(self, limits):
+        randoms = [random_presentation(random.Random(seed)) for seed in range(300)]
+        for p in corpus_presentations() + randoms:
+            assert_same_run(simplify(p, **limits), reference_simplify(p, **limits))
+
+    @pytest.mark.parametrize("limits", LIMITS, ids=LIMIT_IDS)
+    def test_a_pick_hook_sees_the_reference_presentations(self, limits):
+        randoms = [random_presentation(random.Random(seed)) for seed in range(300, 400)]
+        for k, p in enumerate(corpus_presentations() + randoms):
+            seen, expected = [], []
+            rng, again = random.Random(k), random.Random(k)
+            got = simplify(p, pick=recording(lambda q, c: rng.choice(c), seen), **limits)
+            want = reference_simplify(
+                p, pick=recording(lambda q, c: again.choice(c), expected), **limits
+            )
+            assert_same_run(got, want)
+            assert seen == expected
+            assert all(candidates == eliminable(q) for q, candidates in seen)
+
+    def test_a_rebuilt_relator_evicts_a_later_duplicate(self):
+        # c = a turns c·b·c·b into a·b·a·b, which slot 2 already holds.
+        p = pres(DE, "c a^-1", "c b c b", "a b a b")
+        verdict, trace = simplify(p)
+        assert trace.final.relators == (w(DE, "a b a b"),)
+        assert trace.final.origins == (p.origins[1],)
+        assert_same_run((verdict, trace), reference_simplify(p))
+
+    def test_a_rebuilt_relator_that_repeats_an_earlier_one_is_dropped(self):
+        p = pres(DE, "c a^-1", "a b a b", "c b c b")
+        verdict, trace = simplify(p)
+        assert trace.final.relators == (w(DE, "a b a b"),)
+        assert trace.final.origins == (p.origins[1],)
+        assert_same_run((verdict, trace), reference_simplify(p))
+
+    def test_relator_index_is_the_rank_among_the_survivors(self):
+        # Round 1 drops slots 0 and 2, so slot 3 is relator 1 in round 2.
+        p = pres(DE, "c a^-1", "a b a b", "c b c b", "d a b")
+        verdict, trace = simplify(p)
+        assert [(s.generator.glyph, s.relator_index) for s in trace.steps] == [("c", 0), ("d", 1)]
+        assert trace.steps[1].provenance == p.origins[3]
+        assert_same_run((verdict, trace), reference_simplify(p))
+
+    def test_a_long_input_relator_stops_the_run_after_round_one(self):
+        p = pres(DE, "b a^-1", "c c c c c")
+        verdict, trace = simplify(p, max_relator_len=3)
+        assert len(trace.steps) == 1
+        assert verdict.reason == "relator length limit exceeded"
+        assert_same_run((verdict, trace), reference_simplify(p, max_relator_len=3))
+
+    def test_a_long_input_relator_that_round_one_rebuilds_short_does_not(self):
+        # c = a turns c·a⁻¹·c·a⁻¹·c into a, which round 2 eliminates.
+        p = pres(DE, "c a^-1", "c a^-1 c a^-1 c")
+        verdict, trace = simplify(p, max_relator_len=3)
+        assert isinstance(verdict, FreeOfRank)
+        assert [s.generator.glyph for s in trace.steps] == ["c", "a"]
+        assert_same_run((verdict, trace), reference_simplify(p, max_relator_len=3))
+
+    def test_a_pick_hook_receives_the_reference_presentation(self):
+        p = pres(DE, "c a^-1", "a b a b", "c b c b", "d a b")
+        seen, expected = [], []
+        got = simplify(p, pick=recording(greedy_pick, seen))
+        assert_same_run(got, reference_simplify(p, pick=recording(greedy_pick, expected)))
+        assert seen[1][0].relators == (w(DE, "a b a b"), w(DE, "d a b"))
+        assert seen == expected
+        assert all(candidates == eliminable(q) for q, candidates in seen)
+        assert_same_run(got, simplify(p))
+
+    def test_a_pick_out_of_range_is_refused(self):
+        p = pres(DE, "a b^-1", "b c")
+        for index in (-1, 2):
+            with pytest.raises(NotEliminableError, match=f"no relator at index {index}"):
+                simplify(p, pick=lambda q, candidates: (index, candidates[0][1]))
+
+    def test_eliminate_gives_what_the_checking_constructor_accepts(self):
+        rng = random.Random(37)
+        pairs = 0
+        for _ in range(300):
+            p = random_presentation(rng)
+            for index, g in eliminable(p):
+                reduced, _ = eliminate(p, g, index)
+                fields = (reduced.alphabet, reduced.relators, reduced.origins, reduced.live)
+                assert Presentation(*fields) == reduced
+                pairs += 1
+        assert pairs > 1000, pairs
+
+    def test_simplify_builds_a_fixed_number_of_presentations(self, monkeypatch):
+        corpora = corpus_presentations()
+        real = Presentation.__init__
+        built = []
+
+        def counting(self, *args):
+            built.append(1)
+            real(self, *args)
+
+        monkeypatch.setattr(Presentation, "__init__", counting)
+        calls, rounds = [], []
+        for p in corpora:
+            built.clear()
+            _, trace = simplify(p)
+            calls.append(len(built))
+            rounds.append(len(trace.steps))
+        assert calls == [2, 2, 2]  # normalize, and the final presentation
+        assert len(set(rounds)) == 3 and min(rounds) > 1, rounds
 
 
 class TestReplay:

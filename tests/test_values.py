@@ -8,7 +8,10 @@ value, ``Word`` and the named tuples that hold words included, survives
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +131,46 @@ class TestValueContracts:
     def test_the_constructors_keep_their_defaults(self):
         assert Unresolved(small_presentation()).reason == ""
         assert SyllableDecomposition("ㄱ", "ㅏ").tail == ()
+
+
+# Prints the reprs of a presentation and of a verdict with many live generators.
+MANY_LIVE = """
+from homophonic.datasets import builtin_dataset, to_presentation
+from homophonic.presentation import simplify
+p = to_presentation(builtin_dataset("turkish"))
+print(repr(p))
+print(repr(simplify(p, max_rounds=3)[0]))
+"""
+
+
+class TestStableRepr:
+    """``repr`` of a presentation lists its live generators in id order, so it does not
+    follow the hash seed; equality and hashing do not depend on that order anyway."""
+
+    def test_live_generators_show_in_id_order(self):
+        p = to_presentation(builtin_dataset("turkish"))
+        assert len(p.live) > 2
+        shown = ", ".join(repr(g) for g in sorted(p.live, key=lambda g: g.id))
+        assert repr(p).endswith(f", live=frozenset({{{shown}}}))")
+
+    def test_no_live_generator_shows_an_empty_frozenset(self):
+        p = Presentation(XY, (), (), frozenset())
+        assert repr(p) == (
+            "Presentation(alphabet=Alphabet('x', 2 generators), relators=(), origins=(),"
+            " live=frozenset())"
+        )
+
+    def test_repr_is_the_same_under_three_hash_seeds(self):
+        shown = {
+            subprocess.run(
+                [sys.executable, "-c", MANY_LIVE],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert len(shown) == 1
+        assert "Unresolved(remaining=Presentation(" in shown.pop()
 
 
 def a_word():

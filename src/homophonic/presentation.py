@@ -2,9 +2,9 @@
 
 A presentation is simplified by repeatedly eliminating a generator that occurs exactly
 once in some relator: the relator is solved for it and the solution substituted into
-the others.  ``simplify`` keeps the relators in slots, rebuilds only those that hold the
-generator and builds one ``Presentation``, at the end.  ``replay`` checks its trace of
-(relator, generator) steps by applying each recorded pair again with ``eliminate``.
+the others.  ``eliminate`` and ``simplify`` share one round, which rebuilds only the
+slots that hold the generator; relators are checked where they enter, by ``Presentation``.
+``replay`` checks a trace by applying each recorded (relator, generator) pair with ``eliminate``.
 """
 
 from __future__ import annotations
@@ -91,11 +91,19 @@ class Presentation(Value):
 
     def __init__(self, alphabet: Alphabet, relators: tuple[Word, ...],
                  origins: tuple[Provenance, ...], live: frozenset[Generator]):
+        relators, origins, live = tuple(relators), tuple(origins), frozenset(live)
         if len(relators) != len(origins):
             raise ValueError("origins must align with relators")
         if not live <= alphabet.generator_set:
             raise ValueError("live generators must be generators of the alphabet")
-        _check_relators(alphabet, live, relators)
+        for w in relators:  # nonempty, over live, cyclically reduced
+            if not w:
+                raise ValueError("empty relator")
+            if not w.counts.keys() <= live:
+                raise AlphabetMismatchError(f"relator {display(w)} is not over the live generators"
+                                            f" of the {alphabet.language!r} alphabet")
+            if w[0].gen == w[-1].gen and w[0].sign != w[-1].sign:
+                raise ValueError(f"relator {display(w)} is not cyclically reduced")
         _trusted(alphabet, relators, origins, live, into=self)
 
     def __repr__(self) -> str:  # ``live`` in id order, whatever the hash seed
@@ -114,17 +122,6 @@ class Presentation(Value):
 
     def live_generators(self) -> tuple[Generator, ...]:
         return tuple(sorted(self.live))
-
-
-def _check_relators(alphabet, live, relators) -> None:  # nonempty, over live, cyclically reduced
-    for w in relators:
-        if not w:
-            raise ValueError("empty relator")
-        if not w.counts.keys() <= live:
-            raise AlphabetMismatchError(f"relator {display(w)} is not over the live generators"
-                                        f" of the {alphabet.language!r} alphabet")
-        if w[0].gen == w[-1].gen and w[0].sign != w[-1].sign:
-            raise ValueError(f"relator {display(w)} is not cyclically reduced")
 
 
 def _trusted(*fields, into: Presentation | None = None) -> Presentation:
@@ -148,7 +145,7 @@ class FreeOfRank(Value):
 
     def __init__(self, rank: int, basis: tuple[Generator, ...]):
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(basis))
 
 
 class Unresolved(Value):
@@ -177,27 +174,39 @@ class EliminationTrace(NamedTuple):
     final: Presentation
 
 
-def _collect(alphabet, live, cores, origins, dedup: bool = False, build=Presentation):
-    """A presentation of the nonempty cyclically reduced ``cores``; with
-    ``dedup``, also without duplicates up to rotation and inversion."""
-    seen: set[tuple] = set()
-    kept: list[Word] = []
-    kept_origins: list[Provenance] = []
-    for w, origin in zip(cores, origins):
-        if not w:
+def _collect(alphabet, live, cores, origins, build=Presentation):
+    """A presentation of the ``cores`` that are neither ``None`` nor empty, with their origins."""
+    kept = [s for s, w in enumerate(cores) if w]
+    return build(alphabet, tuple(cores[s] for s in kept), tuple(origins[s] for s in kept), live)
+
+
+def _slots(p: Presentation) -> tuple[list[Word | None], dict[tuple, int]]:
+    """``p``'s relators in slots, each later duplicate up to rotation and inversion
+    set to ``None``, and the ``cyclic_key`` → slot dict."""
+    where: dict[tuple, int] = {}
+    return [w if where.setdefault(w.cyclic_key, s) == s else None
+            for s, w in enumerate(p.relators)], where
+
+
+def _rebuild(slots, where, g: Generator, solution: Word) -> list[int]:
+    """Substitute ``solution`` for ``g`` in the slots that hold it, in slot order; return
+    those kept.  An empty core or one equal to an earlier relator is dropped, one equal to a
+    later relator evicts it.  Stale keys in ``where`` name eliminated generators."""
+    kept = []
+    for t in [t for t, w in enumerate(slots) if w and g in w.counts]:
+        core = cyclic_reduce(substitute(slots[t], g, solution))[0]
+        slots[t] = None
+        if not core or (other := where.get(core.cyclic_key, t)) < t:
             continue
-        if dedup:
-            if w.cyclic_key in seen:
-                continue
-            seen.add(w.cyclic_key)
-        kept.append(w)
-        kept_origins.append(origin)
-    return build(alphabet, tuple(kept), tuple(kept_origins), live)
+        slots[other] = None
+        where[core.cyclic_key], slots[t] = t, core
+        kept.append(t)
+    return kept
 
 
 def normalize(p: Presentation) -> Presentation:
-    """Drop duplicate relators up to rotation and inversion."""
-    return _collect(p.alphabet, p.live, p.relators, p.origins, dedup=True)
+    """Drop duplicate relators up to rotation and inversion; the first of each is kept."""
+    return _collect(p.alphabet, p.live, _slots(p)[0], p.origins, _trusted)
 
 
 def solve_for(relator: Word, g: Generator) -> Word:
@@ -221,19 +230,17 @@ def eliminate(
 ) -> tuple[Presentation, EliminationStep]:
     """Eliminate ``g`` using the relator at ``relator_index``.
 
-    The relator must contain ``g`` exactly once.  The solution replaces ``g`` in the
-    relators that hold it, and only these are checked again; the rest pass through.  The
-    cores are normalized, so the solved relator drops out; ``g`` leaves the live set.
+    The relator must contain ``g`` exactly once.  Duplicates drop as in ``normalize``, then
+    ``simplify``'s round rebuilds the relators that hold ``g``; the solved one drops out and
+    ``g`` leaves the live set.  Nothing is checked: substitution keeps checked relators valid.
     """
     if not 0 <= relator_index < len(p.relators):
         raise NotEliminableError(f"no relator at index {relator_index}")
     solution = solve_for(p.relators[relator_index], g)
-    live = p.live - {g}
-    cores = [cyclic_reduce(substitute(w, g, solution))[0] if g in w.counts else w
-             for w in p.relators]
-    _check_relators(p.alphabet, live, [c for c, w in zip(cores, p.relators) if c and c is not w])
+    slots, where = _slots(p)
+    _rebuild(slots, where, g, solution)
     step = EliminationStep(g, solution, relator_index, p.origins[relator_index])
-    return _collect(p.alphabet, live, cores, p.origins, True, _trusted), step
+    return _collect(p.alphabet, p.live - {g}, slots, p.origins, _trusted), step
 
 
 def eliminable(p: Presentation) -> list[tuple[int, Generator]]:
@@ -262,12 +269,11 @@ def simplify(
     A round eliminates the largest-id single-occurrence generator of the shortest relator
     that has one, the lowest index on a tie, so earlier-alphabet letters survive; a ``pick``
     hook chooses instead, from the presentation and its ``eliminable`` pairs.  Hitting a
-    limit yields an Unresolved verdict whose ``reason`` names it, not an error.
+    limit yields an Unresolved verdict whose ``reason`` names it, not an error.  Slots start
+    as ``normalize`` leaves ``p`` and round as ``eliminate``; an index is a slot's rank.
     """
-    p = normalize(p)
-    slots: list[Word | None] = list(p.relators)  # None once dropped; an index is a slot's rank
-    where = {w.cyclic_key: s for s, w in enumerate(slots)}  # stale keys name eliminated letters
-    singles = [[g for g, n in w.counts.items() if n == 1] for w in slots]  # in order of id
+    slots, where = _slots(p)  # None once dropped
+    singles = [[g for g, n in w.counts.items() if n == 1] if w else [] for w in slots]  # by id
     live, steps = p.live, []
     reason = "no relator with a single-occurrence generator"
     while True:
@@ -277,7 +283,7 @@ def simplify(
                 break
             s, g = best[1], singles[best[1]][-1]
         else:
-            q = _collect(p.alphabet, live, slots, p.origins, build=_trusted)
+            q = _collect(p.alphabet, live, slots, p.origins, _trusted)
             if not (candidates := eliminable(q)):
                 break
             i, g = pick(q, candidates)
@@ -290,14 +296,8 @@ def simplify(
         solution = solve_for(slots[s], g)
         steps.append(EliminationStep(g, solution, s - slots[:s].count(None), p.origins[s]))
         live = live - {g}
-        for t in [t for t, w in enumerate(slots) if w and g in w.counts]:  # in slot order
-            core = cyclic_reduce(substitute(slots[t], g, solution))[0]
-            slots[t] = None
-            if not core or (other := where.get(core.cyclic_key, t)) < t:
-                continue  # the solved relator, or one equal to an earlier relator
-            slots[other] = None  # a later relator equal to the rebuilt one
-            where[core.cyclic_key], slots[t] = t, core
-            singles[t] = [h for h, n in core.counts.items() if n == 1]
+        for t in _rebuild(slots, where, g, solution):
+            singles[t] = [h for h, n in slots[t].counts.items() if n == 1]
         if max(map(len, filter(None, slots)), default=0) > max_relator_len:
             reason = "relator length limit exceeded"
             break

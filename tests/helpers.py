@@ -2,8 +2,11 @@
 
 Everything here is deliberately written without reusing the library's own
 algorithms, so tests can cross-check implementations against brute force.
-The exception is ``reference_simplify``: the loop ``simplify`` ran before it
-kept a working state, one presentation per round through ``eliminate``.
+``reference_normalize`` and ``reference_eliminate`` are built from the oracles
+alone, with a first-wins dedup on ``cyclic_key_oracle``; the library values
+``Word`` and ``Presentation`` only hold their results.  ``reference_simplify``
+is the loop ``simplify`` ran before it kept a working state: one presentation
+per round, through ``reference_eliminate``.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from homophonic.presentation import (
     Presentation,
     Provenance,
     Relation,
+    EliminationStep,
     Trivial,
     Unresolved,
     eliminable,
-    eliminate,
-    normalize,
 )
 from homophonic.words import EMPTY_WORD, Alphabet, SignedLetter, Word, cyclic_reduce, display
 
@@ -85,6 +87,12 @@ def strip_outer_oracle(
         conjugator.append(core[0])
         core = core[1:-1]
     return core, conjugator
+
+
+def oracle_core(letters) -> tuple:
+    """The cyclic core of the free reduction of ``letters``, by the oracles."""
+    core, _ = strip_outer_oracle(tuple(reduce_oracle(list(letters))))
+    return tuple(core)
 
 
 def count_oracle(letters, g) -> int:
@@ -174,16 +182,41 @@ def greedy_pick(p: Presentation, candidates):
     return min(candidates, key=lambda c: (len(p.relators[c[0]]), c[0], -c[1].id))
 
 
+def _first_of_each(p: Presentation, cores, live) -> Presentation:
+    """The nonempty ``cores`` with ``p``'s origins, each kept only where it first
+    appears up to rotation and inversion."""
+    seen, kept = set(), []
+    for core, origin in zip(cores, p.origins):
+        if core and (key := cyclic_key_oracle(core)) not in seen:
+            seen.add(key)
+            kept.append((Word(tuple(core)), origin))
+    return Presentation(p.alphabet, tuple(w for w, _ in kept), tuple(o for _, o in kept), live)
+
+
+def reference_normalize(p: Presentation) -> Presentation:
+    """``p`` without duplicate relators up to rotation and inversion, the first kept."""
+    return _first_of_each(p, [w.letters for w in p.relators], p.live)
+
+
+def reference_eliminate(p: Presentation, g, i: int):
+    """Eliminate ``g`` by relator ``i`` as the oracles do it: solve, substitute into
+    every relator, take each oracle core, then drop empty cores and duplicates."""
+    solution = tuple(reduce_oracle(solve_oracle(p.relators[i].letters, g)))
+    cores = [oracle_core(substitute_oracle(w.letters, g, solution)) for w in p.relators]
+    step = EliminationStep(g, Word(solution), i, p.origins[i])
+    return _first_of_each(p, cores, p.live - {g}), step
+
+
 def reference_simplify(
     p: Presentation,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     max_relator_len: int = DEFAULT_MAX_RELATOR_LEN,
     pick=greedy_pick,
 ):
-    """The elimination loop as one presentation per round: ``normalize``, then
-    ``eliminable``, the pick, ``eliminate`` and the length check over every
-    relator.  It returns what ``simplify`` does, reason included."""
-    p = normalize(p)
+    """The elimination loop as one presentation per round: ``reference_normalize``,
+    then ``eliminable``, the pick, ``reference_eliminate`` and the length check over
+    every relator.  It returns what ``simplify`` does, reason included."""
+    p = reference_normalize(p)
     steps = []
     reason = "no relator with a single-occurrence generator"
     while candidates := eliminable(p):
@@ -191,7 +224,7 @@ def reference_simplify(
         if len(steps) >= max_rounds:
             reason = "round limit reached"
             break
-        p, step = eliminate(p, g, i)
+        p, step = reference_eliminate(p, g, i)
         steps.append(step)
         if any(len(w) > max_relator_len for w in p.relators):
             reason = "relator length limit exceeded"

@@ -11,12 +11,14 @@ from helpers import (
     from_relators,
     greedy_pick,
     inverse_oracle,
+    oracle_core,
     random_letters,
     random_presentation,
     reduce_oracle,
+    reference_eliminate,
+    reference_normalize,
     reference_simplify,
     solve_oracle,
-    strip_outer_oracle,
     substitute_oracle,
 )
 from homophonic.abelianization import abelian_invariants, exponent_matrix
@@ -58,12 +60,6 @@ from homophonic.words import (
 DE = Alphabet("de", "abcdefghijklmnopqrstuvwxyzäöüß")
 TR = Alphabet("tr", "bcçdfgğhjklmnprsştvyzaeıioöuü")
 ABC = Alphabet("xx", "abc")
-
-
-def oracle_core(letters) -> tuple:
-    """The cyclic core of the free reduction of ``letters``, by the oracles."""
-    core, _ = strip_outer_oracle(tuple(reduce_oracle(list(letters))))
-    return tuple(core)
 
 
 def w(alphabet, text):
@@ -436,6 +432,26 @@ class TestWorkingState:
                 pairs += 1
         assert pairs > 1000, pairs
 
+    def test_eliminate_is_the_reference_elimination(self):
+        rng = random.Random(43)
+        randoms = [random_presentation(rng, max_relators=8, max_relator_len=6) for _ in range(400)]
+        # A rebuilt relator evicts a later duplicate, repeats an earlier one, or meets
+        # a duplicate that the input already held.
+        hand_built = [
+            pres(DE, "c a^-1", "c b c b", "a b a b"),
+            pres(DE, "c a^-1", "a b a b", "c b c b"),
+            pres(DE, "c b c b", "c a^-1", "b a b a", "a b a b"),
+        ]
+        pairs = with_duplicates = 0
+        for p in hand_built + randoms:
+            deduped = reference_normalize(p)
+            assert normalize(p) == deduped
+            with_duplicates += len(deduped.relators) < len(p.relators)
+            for index, g in eliminable(p):
+                assert eliminate(p, g, index) == reference_eliminate(p, g, index)
+                pairs += 1
+        assert with_duplicates > 50 and pairs > 1000, (with_duplicates, pairs)
+
     def test_simplify_builds_a_fixed_number_of_presentations(self, monkeypatch):
         corpora = corpus_presentations()
         real = Presentation.__init__
@@ -449,10 +465,16 @@ class TestWorkingState:
         calls, rounds = [], []
         for p in corpora:
             built.clear()
-            _, trace = simplify(p)
+            verdict, trace = simplify(p)
             calls.append(len(built))
             rounds.append(len(trace.steps))
-        assert calls == [2, 2, 2]  # normalize, and the final presentation
+            built.clear()
+            q = normalize(p)
+            for step in trace.steps:
+                q, _ = eliminate(q, step.generator, step.relator_index)
+            assert q == trace.final and replay(trace, p) == verdict
+            assert built == []  # normalize, eliminate and replay build none
+        assert calls == [1, 1, 1]  # the final presentation
         assert len(set(rounds)) == 3 and min(rounds) > 1, rounds
 
 

@@ -2,7 +2,8 @@
 
 ``Presentation``, the three verdicts, ``LanguageDataset`` and
 ``SyllableDecomposition`` are immutable, compare and hash by their compared
-fields, show themselves as a dataclass would, and match positionally.  Every
+fields, show themselves as a dataclass would, and match positionally.  A value
+given lists (or a set of live generators) stores tuples (or a frozenset).  Every
 value, ``Word`` and the named tuples that hold words included, survives
 ``copy.copy``, ``copy.deepcopy`` and a pickle round trip.
 """
@@ -15,7 +16,13 @@ import sys
 
 import pytest
 
-from homophonic.datasets import LanguageDataset, builtin_dataset, parse_dataset, to_presentation
+from homophonic.datasets import (
+    LanguageDataset,
+    builtin_dataset,
+    parse_dataset,
+    serialize_dataset,
+    to_presentation,
+)
 from homophonic.hangul import SyllableDecomposition
 from homophonic.presentation import (
     FreeOfRank,
@@ -131,6 +138,37 @@ class TestValueContracts:
     def test_the_constructors_keep_their_defaults(self):
         assert Unresolved(small_presentation()).reason == ""
         assert SyllableDecomposition("ㄱ", "ㅏ").tail == ()
+
+
+def built_from(seq, live) -> list:
+    """One value of each class with sequence fields, its sequences built by ``seq``
+    and its live generators by ``live``."""
+    p = Presentation(XY, seq([parse_word(XY, "a a")]), seq([Provenance()]), live({XY[0]}))
+    record = Provenance("raw", "a", "b", "g", "r")
+    return [
+        p,
+        Unresolved(p, "round limit reached"),
+        FreeOfRank(2, seq([XY[0], XY[1]])),
+        LanguageDataset("x", seq(["a", "b"]), seq([record])),
+        SyllableDecomposition("ㄷ", "ㅏ", seq(["ㄹ", "ㄱ"])),
+    ]
+
+
+class TestListFields:
+    """Fields given as lists, or a set of live generators, are stored as tuples or
+    a frozenset, so the value is the one built from tuples."""
+
+    def test_list_built_values_equal_and_hash_like_tuple_built_ones(self):
+        for listed, tupled in zip(built_from(list, set), built_from(tuple, frozenset)):
+            assert listed == tupled
+            assert hash(listed) == hash(tupled)
+            assert repr(listed) == repr(tupled)
+            for field, want in zip(positional(listed), positional(tupled)):
+                assert type(field) is type(want)
+
+    def test_a_list_built_dataset_survives_the_text_round_trip(self):
+        dataset = built_from(list, set)[3]
+        assert parse_dataset(serialize_dataset(dataset)) == dataset
 
 
 # Prints the reprs of a presentation and of a verdict with many live generators.

@@ -49,7 +49,7 @@ class LanguageDataset(Value):
     __match_args__ = _compared = ("language", "glyphs", "records")  # __dict__ holds the caches
 
     def __init__(self, language: str, glyphs: tuple[str, ...], records: tuple[Provenance, ...]):
-        self.__dict__.update(language=language, glyphs=tuple(glyphs), records=tuple(records))
+        super().__init__(language, tuple(glyphs), tuple(records))
 
     def alphabet(self) -> Alphabet:
         return self._alphabet

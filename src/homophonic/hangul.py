@@ -77,15 +77,14 @@ class SyllableDecomposition(Value):
     __slots__ = __match_args__ = _compared = ("lead", "vowel", "tail")
 
     def __init__(self, lead: str, vowel: str, tail: tuple[str, ...] = ()):
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "vowel", vowel)
-        object.__setattr__(self, "tail", tuple(tail))  # so a list or string tail hashes
+        tail = tuple(tail)  # so a list or string tail hashes
         if lead not in CONSONANT_SET:
             raise ValueError(f"lead {lead!r} is not a consonant")
         if vowel not in VOWEL_SET:
             raise ValueError(f"vowel {vowel!r} is not a vowel")
-        if len(self.tail) > 2 or any(c not in CONSONANT_SET for c in self.tail):
-            raise ValueError(f"bad tail {self.tail!r}")
+        if len(tail) > 2 or any(c not in CONSONANT_SET for c in tail):
+            raise ValueError(f"bad tail {tail!r}")
+        super().__init__(lead, vowel, tail)
 
     def jamo(self) -> tuple[str, ...]:
         return (self.lead, self.vowel) + self.tail

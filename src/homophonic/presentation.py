@@ -2,8 +2,8 @@
 
 A presentation is simplified by repeatedly eliminating a generator that occurs exactly
 once in some relator: the relator is solved for it and the solution substituted into
-the others.  ``eliminate`` and ``simplify`` share one round, which rebuilds only the
-slots that hold the generator; relators are checked where they enter, by ``Presentation``.
+the others in one round, shared by ``eliminate`` and ``simplify``.  Only relators from outside
+are checked, by ``Presentation``: what substitution and dropping build stays valid unchecked.
 ``replay`` checks a trace by applying each recorded (relator, generator) pair with ``eliminate``.
 """
 
@@ -104,7 +104,7 @@ class Presentation(Value):
                                             f" of the {alphabet.language!r} alphabet")
             if w[0].gen == w[-1].gen and w[0].sign != w[-1].sign:
                 raise ValueError(f"relator {display(w)} is not cyclically reduced")
-        _trusted(alphabet, relators, origins, live, into=self)
+        super().__init__(alphabet, relators, origins, live)
 
     def __repr__(self) -> str:  # ``live`` in id order, whatever the hash seed
         live = "{" + ", ".join(map(repr, self.live_generators())) + "}" if self.live else ""
@@ -114,22 +114,12 @@ class Presentation(Value):
     def from_relations(
         cls, alphabet: Alphabet, relations: Sequence[Relation]
     ) -> "Presentation":
-        """Build a presentation on the full alphabet, dropping vacuous relations
-        but keeping duplicates."""
-        cores = [relator_from_relation(rel) for rel in relations]
-        origins = [rel.provenance for rel in relations]
-        return _collect(alphabet, alphabet.generator_set, cores, origins)
+        """Check and build on the full alphabet; vacuous relations drop, duplicates stay."""
+        kept = [(w, rel.provenance) for rel in relations if (w := relator_from_relation(rel))]
+        return cls(alphabet, [w for w, _ in kept], [o for _, o in kept], alphabet.generator_set)
 
     def live_generators(self) -> tuple[Generator, ...]:
         return tuple(sorted(self.live))
-
-
-def _trusted(*fields, into: Presentation | None = None) -> Presentation:
-    """A presentation of relators already checked over its live set: no check runs."""
-    p = object.__new__(Presentation) if into is None else into
-    for name, value in zip(Presentation.__slots__, fields):
-        object.__setattr__(p, name, value)
-    return p
 
 
 class Trivial(Value):
@@ -144,8 +134,7 @@ class FreeOfRank(Value):
     __slots__ = __match_args__ = _compared = ("rank", "basis")
 
     def __init__(self, rank: int, basis: tuple[Generator, ...]):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "basis", tuple(basis))
+        super().__init__(rank, tuple(basis))
 
 
 class Unresolved(Value):
@@ -155,8 +144,7 @@ class Unresolved(Value):
     _compared = ("remaining",)  # the reason says why simplify stopped; empty from replay
 
     def __init__(self, remaining: Presentation, reason: str = ""):
-        object.__setattr__(self, "remaining", remaining)
-        object.__setattr__(self, "reason", reason)
+        super().__init__(remaining, reason)
 
 
 Verdict = Trivial | FreeOfRank | Unresolved
@@ -174,10 +162,12 @@ class EliminationTrace(NamedTuple):
     final: Presentation
 
 
-def _collect(alphabet, live, cores, origins, build=Presentation):
-    """A presentation of the ``cores`` that are neither ``None`` nor empty, with their origins."""
+def _collect(alphabet, live, cores, origins) -> Presentation:
+    """The ``cores`` that are neither ``None`` nor empty, with their origins, unchecked."""
     kept = [s for s, w in enumerate(cores) if w]
-    return build(alphabet, tuple(cores[s] for s in kept), tuple(origins[s] for s in kept), live)
+    Value.__init__(p := object.__new__(Presentation), alphabet,
+                   tuple(cores[s] for s in kept), tuple(origins[s] for s in kept), live)
+    return p
 
 
 def _slots(p: Presentation) -> tuple[list[Word | None], dict[tuple, int]]:
@@ -206,11 +196,11 @@ def _rebuild(slots, where, g: Generator, solution: Word) -> list[int]:
 
 def normalize(p: Presentation) -> Presentation:
     """Drop duplicate relators up to rotation and inversion; the first of each is kept."""
-    return _collect(p.alphabet, p.live, _slots(p)[0], p.origins, _trusted)
+    return _collect(p.alphabet, p.live, _slots(p)[0], p.origins)
 
 
 def solve_for(relator: Word, g: Generator) -> Word:
-    """Solution word for ``g`` from a relator containing it exactly once.
+    """Solution word for ``g`` from a cyclically reduced relator containing it exactly once.
 
     The relator is rotated to start with the single occurrence of ``g``;
     what remains, inverted as the sign demands, equals ``g``.
@@ -220,9 +210,8 @@ def solve_for(relator: Word, g: Generator) -> Word:
             f"{g.glyph!r} occurs {relator.counts[g]} times in {display(relator)}"
         )
     k = next(i for i, sl in enumerate(relator) if sl.gen == g)
-    sign = relator[k].sign
-    rest = Word(relator[k + 1 :] + relator[:k])
-    return invert(rest) if sign > 0 else rest
+    rest = _reduced(relator[k + 1 :] + relator[:k])  # reduced: relator is cyclically reduced
+    return invert(rest) if relator[k].sign > 0 else rest
 
 
 def eliminate(
@@ -240,7 +229,7 @@ def eliminate(
     slots, where = _slots(p)
     _rebuild(slots, where, g, solution)
     step = EliminationStep(g, solution, relator_index, p.origins[relator_index])
-    return _collect(p.alphabet, p.live - {g}, slots, p.origins, _trusted), step
+    return _collect(p.alphabet, p.live - {g}, slots, p.origins), step
 
 
 def eliminable(p: Presentation) -> list[tuple[int, Generator]]:
@@ -269,8 +258,9 @@ def simplify(
     A round eliminates the largest-id single-occurrence generator of the shortest relator
     that has one, the lowest index on a tie, so earlier-alphabet letters survive; a ``pick``
     hook chooses instead, from the presentation and its ``eliminable`` pairs.  Hitting a
-    limit yields an Unresolved verdict whose ``reason`` names it, not an error.  Slots start
-    as ``normalize`` leaves ``p`` and round as ``eliminate``; an index is a slot's rank.
+    limit yields an Unresolved verdict whose ``reason`` names it, not an error.  Slots start as
+    ``normalize`` leaves ``p``, round as ``eliminate`` and end, unchecked, in ``trace.final``;
+    an index is a slot's rank.
     """
     slots, where = _slots(p)  # None once dropped
     singles = [[g for g, n in w.counts.items() if n == 1] if w else [] for w in slots]  # by id
@@ -283,7 +273,7 @@ def simplify(
                 break
             s, g = best[1], singles[best[1]][-1]
         else:
-            q = _collect(p.alphabet, live, slots, p.origins, _trusted)
+            q = _collect(p.alphabet, live, slots, p.origins)
             if not (candidates := eliminable(q)):
                 break
             i, g = pick(q, candidates)

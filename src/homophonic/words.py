@@ -47,9 +47,15 @@ class SelfReferenceError(ValueError):
 
 class Value:
     """An immutable value, not a tuple: it equals and hashes by its ``_compared`` fields, and
-    shows, copies and pickles by its ``__match_args__``, through its validating constructor."""
+    is set, shown, copied and pickled by its ``__match_args__``, through its constructor."""
 
     __slots__ = __match_args__ = _compared = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__match_args__):
+            raise TypeError(f"{type(self).__name__}() takes {len(self.__match_args__)} arguments")
+        for name, value in zip(self.__match_args__, fields):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, f) for f in self._compared)

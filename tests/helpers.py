@@ -6,7 +6,8 @@ algorithms, so tests can cross-check implementations against brute force.
 alone, with a first-wins dedup on ``cyclic_key_oracle``; the library values
 ``Word`` and ``Presentation`` only hold their results.  ``reference_simplify``
 is the loop ``simplify`` ran before it kept a working state: one presentation
-per round, through ``reference_eliminate``.
+per round, through ``reference_eliminate``.  ``trace_oracle`` checks a trace step
+by step, on its own list of relators.
 """
 
 from __future__ import annotations
@@ -236,6 +237,44 @@ def reference_simplify(
     else:
         verdict = Trivial()
     return verdict, EliminationTrace(tuple(steps), p)
+
+
+def trace_oracle(p: Presentation, trace: EliminationTrace, verdict) -> None:
+    """Check that ``trace`` eliminates soundly from ``p`` to ``verdict``, by the oracles
+    alone; an AssertionError names the first fault.
+
+    Every relator of ``p`` is kept with its origin, duplicates included.  A step's
+    generator must be live, and its solution must name neither it nor a dead generator;
+    some current relator must equal ``g · solution⁻¹`` up to rotation and inversion, and
+    the step's provenance must be the origin of one such relator.  Then every relator
+    becomes the oracle core of its substitution, empty ones drop and ``g`` dies.  The
+    survivors and the live set must be those of ``trace.final`` and of the verdict.
+    ``relator_index`` names a slot of the deduplicated state, so it is not read.
+    """
+    relators = [(tuple(w), origin) for w, origin in zip(p.relators, p.origins)]
+    live = set(p.live)
+    for k, step in enumerate(trace.steps):
+        g, solution = step.generator, tuple(step.solution)
+        assert g in live, f"step {k}: {g.glyph!r} is not live"
+        assert count_oracle(solution, g) == 0, f"step {k}: the solution names {g.glyph!r}"
+        assert {sl.gen for sl in solution} <= live, f"step {k}: the solution names a dead generator"
+        assert reduce_oracle(list(solution)) == list(solution), f"step {k}: unreduced solution"
+        key = cyclic_key_oracle([SignedLetter(g, 1)] + inverse_oracle(solution))
+        solved = [o for r, o in relators if len(r) == len(key) and cyclic_key_oracle(r) == key]
+        assert solved, f"step {k}: no relator is {g.glyph!r} times its solution's inverse"
+        assert step.provenance in solved, f"step {k}: the provenance is not the solved relator's"
+        rewritten = [(oracle_core(substitute_oracle(r, g, solution)), o) for r, o in relators]
+        relators = [(r, o) for r, o in rewritten if r]
+        live.discard(g)
+    keys = {cyclic_key_oracle(r) for r, _ in relators}
+    assert keys == {cyclic_key_oracle(w) for w in trace.final.relators}, "final relators differ"
+    assert live == trace.final.live, "final live generators differ"
+    if isinstance(verdict, Unresolved):
+        assert relators and verdict.remaining == trace.final, "unresolved, but not at trace.final"
+    else:
+        assert not relators, f"{type(verdict).__name__}, but relators are left"
+        basis = (verdict.rank, verdict.basis) if isinstance(verdict, FreeOfRank) else (0, ())
+        assert basis == (len(live), tuple(sorted(live))), "the basis is not the live set"
 
 
 def _reduce_to_word(letters: list[SignedLetter]) -> Word:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ import homophonic.presentation
 from helpers import (
     assert_exact_word,
     assert_reduced,
+    cyclic_key_oracle,
     from_relators,
     greedy_pick,
     inverse_oracle,
@@ -20,6 +22,7 @@ from helpers import (
     reference_simplify,
     solve_oracle,
     substitute_oracle,
+    trace_oracle,
 )
 from homophonic.abelianization import abelian_invariants, exponent_matrix
 from homophonic.presentation import (
@@ -453,15 +456,21 @@ class TestWorkingState:
         assert with_duplicates > 50 and pairs > 1000, (with_duplicates, pairs)
 
     def test_simplify_builds_a_fixed_number_of_presentations(self, monkeypatch):
-        corpora = corpus_presentations()
+        from homophonic.datasets import builtin_dataset, to_presentation
+
         real = Presentation.__init__
         built = []
 
         def counting(self, *args):
-            built.append(1)
+            built.append(sys._getframe(1).f_code.co_name)  # the caller
             real(self, *args)
 
         monkeypatch.setattr(Presentation, "__init__", counting)
+        corpora = []
+        for name in ("german", "korean", "turkish"):
+            built.clear()
+            corpora.append(to_presentation(builtin_dataset(name)))
+            assert built == ["from_relations"]  # the relators are checked once, on entry
         calls, rounds = [], []
         for p in corpora:
             built.clear()
@@ -474,7 +483,7 @@ class TestWorkingState:
                 q, _ = eliminate(q, step.generator, step.relator_index)
             assert q == trace.final and replay(trace, p) == verdict
             assert built == []  # normalize, eliminate and replay build none
-        assert calls == [1, 1, 1]  # the final presentation
+        assert calls == [0, 0, 0]  # trace.final is built unchecked too
         assert len(set(rounds)) == 3 and min(rounds) > 1, rounds
 
 
@@ -682,6 +691,87 @@ class TestReplay:
             assert replay(trace, p) == verdict
 
 
+class TestTraceOracle:
+    """``trace_oracle`` checks a trace step by step with the oracles alone, sharing no
+    code with ``simplify``, ``eliminate`` or ``replay``."""
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{}, {"max_rounds": 1}, {"max_rounds": 3}, {"max_relator_len": 4}, {"max_relator_len": 6}],
+        ids=["unbounded", "rounds1", "rounds3", "len4", "len6"],
+    )
+    def test_the_corpus_traces_pass(self, limits):
+        for p in corpus_presentations():
+            verdict, trace = simplify(p, **limits)
+            trace_oracle(p, trace, verdict)
+
+    def test_random_presentations_pass(self):
+        for seed in range(300):
+            p = random_presentation(random.Random(seed))
+            verdict, trace = simplify(p)
+            trace_oracle(p, trace, verdict)
+
+    def test_random_picks_on_the_corpora_pass(self):
+        rng = random.Random(20)
+        for p in corpus_presentations():
+            for _ in range(20):
+                verdict, trace = simplify(p, pick=lambda q, candidates: rng.choice(candidates))
+                trace_oracle(p, trace, verdict)
+
+    def test_a_dropped_step_fails(self):
+        p = corpus_presentations()[0]
+        verdict, trace = simplify(p)
+        for k in range(len(trace.steps)):
+            steps = trace.steps[:k] + trace.steps[k + 1 :]
+            with pytest.raises(AssertionError):
+                trace_oracle(p, EliminationTrace(steps, trace.final), verdict)
+
+    def test_a_solution_with_a_live_letter_appended_fails(self):
+        p = corpus_presentations()[0]
+        verdict, trace = simplify(p)
+        live, tampered = set(p.live), 0
+        for k, step in enumerate(trace.steps):
+            live.discard(step.generator)
+            tail = step.solution[-1:]
+            others = [h for h in sorted(live) if tail != (SignedLetter(h, -1),)]
+            if not others:
+                continue
+            letter = Word([SignedLetter(others[0], 1)])
+            bad = step._replace(solution=concat(step.solution, letter))
+            steps = trace.steps[:k] + (bad,) + trace.steps[k + 1 :]
+            with pytest.raises(AssertionError, match=f"step {k}:"):
+                trace_oracle(p, EliminationTrace(steps, trace.final), verdict)
+            tampered += 1
+        assert tampered == len(trace.steps) - 1  # the last step leaves no other live letter
+
+    def test_a_basis_missing_a_generator_fails(self):
+        p = corpus_presentations()[2]
+        verdict, trace = simplify(p)
+        assert isinstance(verdict, FreeOfRank)
+        for k in range(verdict.rank):
+            basis = verdict.basis[:k] + verdict.basis[k + 1 :]
+            with pytest.raises(AssertionError, match="basis"):
+                trace_oracle(p, trace, FreeOfRank(len(basis), basis))
+
+    def test_a_swap_that_solves_a_rewritten_relator_first_fails(self):
+        swaps = 0
+        for p in corpus_presentations():
+            verdict, trace = simplify(p)
+            q = normalize(p)
+            for k in range(len(trace.steps) - 1):
+                first, second = trace.steps[k], trace.steps[k + 1]
+                before = {cyclic_key_oracle(r) for r in q.relators}
+                q, _ = eliminate(q, first.generator, first.relator_index)
+                solved = [SignedLetter(second.generator, 1)] + inverse_oracle(second.solution)
+                if cyclic_key_oracle(solved) in before:
+                    continue  # the second step's relator was not rewritten by the first
+                steps = trace.steps[:k] + (second, first) + trace.steps[k + 2 :]
+                with pytest.raises(AssertionError, match=f"step {k}:"):
+                    trace_oracle(p, EliminationTrace(steps, trace.final), verdict)
+                swaps += 1
+        assert swaps > 10, swaps
+
+
 class TestVerdictText:
     def test_trivial_line(self):
         assert (
@@ -820,7 +910,8 @@ class TestEveryRelatorIsExactlyAWord:
         assert_exact_word(relator)
         for g, n in relator.counts.items():
             if n == 1:
-                assert_exact_word(solve_for(relator, g))
+                assert_exact_word(solution := solve_for(relator, g))
+                assert_reduced(solution)
 
     @pytest.mark.parametrize("name", ["german", "korean", "turkish"])
     def test_every_word_of_a_corpus_trace_is_a_word(self, name):

@@ -139,6 +139,19 @@ class TestValueContracts:
         assert Unresolved(small_presentation()).reason == ""
         assert SyllableDecomposition("ㄱ", "ㅏ").tail == ()
 
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_wrong_number_of_fields_is_a_type_error(self, name):
+        wrong = {
+            "Presentation": lambda: Presentation(XY),
+            "Trivial": lambda: Trivial(1),
+            "FreeOfRank": lambda: FreeOfRank(1, (), 2),
+            "Unresolved": lambda: Unresolved(),
+            "LanguageDataset": lambda: LanguageDataset("de"),
+            "SyllableDecomposition": lambda: SyllableDecomposition("ㄱ"),
+        }[name]
+        with pytest.raises(TypeError):
+            wrong()
+
 
 def built_from(seq, live) -> list:
     """One value of each class with sequence fields, its sequences built by ``seq``

@@ -20,12 +20,11 @@ records hold "+"-separated generator glyphs on each side.
 
 from __future__ import annotations
 
-from functools import cached_property
 from pathlib import Path
 
 from . import hangul
 from .presentation import Presentation, Provenance, Relation
-from .words import Alphabet, AlphabetError, Value, Word
+from .words import Alphabet, AlphabetError, Value, Word, fact
 
 KOREAN_LANGUAGE_TAG = "ko"
 RECORD_FIELDS = 5
@@ -54,7 +53,7 @@ class LanguageDataset(Value):
     def alphabet(self) -> Alphabet:
         return self._alphabet
 
-    @cached_property
+    @fact
     def _alphabet(self) -> Alphabet:
         try:
             return Alphabet(self.language, self.glyphs)
@@ -63,7 +62,7 @@ class LanguageDataset(Value):
             error.glyph = exc.index
             raise error from None
 
-    @cached_property
+    @fact
     def _relations(self) -> tuple[Relation, ...]:
         """One relation per record, built once; raises naming the first bad record."""
         alphabet, relations = self.alphabet(), []

@@ -9,6 +9,7 @@ are checked, by ``Presentation``: what substitution and dropping build stays val
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
 from .words import (
@@ -30,7 +31,7 @@ DEFAULT_MAX_RELATOR_LEN = 10_000
 
 
 class NotEliminableError(ValueError):
-    """The chosen generator does not occur exactly once in the chosen relator."""
+    """The relator holds the generator other than once, or is not cyclically reduced."""
 
 
 class TraceInvalidError(ValueError):
@@ -164,9 +165,8 @@ class EliminationTrace(NamedTuple):
 
 def _collect(alphabet, live, cores, origins) -> Presentation:
     """The ``cores`` that are neither ``None`` nor empty, with their origins, unchecked."""
-    kept = [s for s, w in enumerate(cores) if w]
     Value.__init__(p := object.__new__(Presentation), alphabet,
-                   tuple(cores[s] for s in kept), tuple(origins[s] for s in kept), live)
+                   tuple(filter(None, cores)), tuple(compress(origins, cores)), live)
     return p
 
 
@@ -209,6 +209,8 @@ def solve_for(relator: Word, g: Generator) -> Word:
         raise NotEliminableError(
             f"{g.glyph!r} occurs {relator.counts[g]} times in {display(relator)}"
         )
+    if relator[0].gen == relator[-1].gen and relator[0].sign != relator[-1].sign:
+        raise NotEliminableError(f"relator {display(relator)} is not cyclically reduced")
     k = next(i for i, sl in enumerate(relator) if sl.gen == g)
     rest = _reduced(relator[k + 1 :] + relator[:k])  # reduced: relator is cyclically reduced
     return invert(rest) if relator[k].sign > 0 else rest

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -77,6 +76,18 @@ class Value:
         raise AttributeError(f"cannot assign to or delete {name!r} of a {type(self).__name__}")
 
     __delattr__ = __setattr__
+
+
+class fact:
+    """A fact of an immutable value, stored in its ``__dict__`` on first read, so later reads skip
+    this.  Python 3.11's ``cached_property`` takes a lock there; a fact is pure, so a race only
+    computes it twice, and ``setdefault`` hands both readers the first value stored."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.compute(obj))
 
 
 class Generator(NamedTuple):
@@ -196,12 +207,12 @@ class Word(tuple):
     def letters(self) -> tuple[SignedLetter, ...]:
         return self
 
-    @cached_property
+    @fact
     def counts(self) -> Mapping[Generator, int]:
         """Occurrences of each generator, ignoring sign, in order of id; 0 if absent."""
         return MappingProxyType(Counter(sorted(sl.gen for sl in self)))
 
-    @cached_property
+    @fact
     def cyclic_key(self) -> tuple[int, ...]:
         """Least rotation of the word or of its inverse, letters as ±(id+1); equal
         exactly for words of one alphabet that are equal up to rotation and inversion."""
@@ -211,10 +222,10 @@ class Word(tuple):
         rotations = (v[k:] + v[:k] for v in (seq, inv) for k, x in enumerate(v) if x == least)
         return tuple(min(rotations, default=()))
 
-    @cached_property
+    @fact
     def inverse(self) -> "Word":
         """The inverse word; reversing a freely reduced word keeps it reduced."""
-        return _reduced([sl.inverse() for sl in reversed(self)])
+        return _reduced([tuple.__new__(SignedLetter, (gen, -sign)) for gen, sign in reversed(self)])
 
     def __repr__(self) -> str:
         return f"Word({display(self)})"

@@ -130,6 +130,12 @@ class TestEliminate:
         with pytest.raises(NotEliminableError):
             eliminate(p, DE.generator("g"), 0)
 
+    def test_solve_for_refuses_a_relator_that_is_not_cyclically_reduced(self):
+        # A relator from outside a Presentation: g occurs once, but a and a^-1 wrap around.
+        alphabet = Alphabet("x", "ag")
+        with pytest.raises(NotEliminableError, match="a·g·a⁻¹ is not cyclically reduced"):
+            solve_for(parse_word(alphabet, "a g a^-1"), alphabet.generator("g"))
+
     def test_substitution_rewrites_other_relators(self):
         p = pres(DE, "a b^-1", "b c^-1")
         reduced, _ = eliminate(p, DE.generator("b"), 0)

@@ -1,3 +1,7 @@
+import functools
+import importlib
+import itertools
+import pkgutil
 import random
 
 import pytest
@@ -17,6 +21,9 @@ from helpers import (
     strip_outer_oracle,
     substitute_oracle,
 )
+import homophonic
+from homophonic.datasets import builtin_dataset
+from homophonic.presentation import Relation, relator_from_relation
 from homophonic.words import (
     EMPTY_WORD,
     Alphabet,
@@ -514,6 +521,73 @@ class TestWordIsItsLetters:
             delattr(word, name)
         assert getattr(word, name, None) == before
         assert word.counts[DE.generator("a")] == 1
+
+
+FACTS = ("counts", "cyclic_key", "inverse")
+
+
+def made_word(how: str, rng: random.Random) -> Word:
+    """A fresh word, none of its facts read yet unless ``substitute`` returns its input."""
+    u, v = (Word(random_letters(rng, ABC, 10)) for _ in range(2))
+    if how == "substitute":
+        return substitute(u, ABC[0], Word(sl for sl in v if sl.gen != ABC[0]))
+    if how == "cyclic_reduce":
+        return cyclic_reduce(concat(concat(v, u), invert(v)))[0]
+    return relator_from_relation(Relation(u, v))
+
+
+def check_fact(word: Word, name: str, value) -> None:
+    """``value``, read as ``word``'s fact ``name``, against the oracle for that fact."""
+    if name == "counts":
+        assert dict(value) == {g: n for g in ABC if (n := count_oracle(word, g))}
+        assert [g.id for g in value] == sorted(g.id for g in value)
+    elif name == "cyclic_key":
+        assert value == cyclic_key_oracle(word)
+    else:
+        assert type(value) is Word
+        assert value.letters == tuple(inverse_oracle(word))
+
+
+class TestFacts:
+    """``counts``, ``cyclic_key`` and ``inverse`` are computed once per word, each under its
+    own name, and without ``functools.cached_property``."""
+
+    def test_no_class_of_the_package_holds_a_cached_property(self):
+        names = [m.name for m in pkgutil.iter_modules(homophonic.__path__) if m.name != "__main__"]
+        assert "words" in names and "datasets" in names
+        for name in names:
+            module = importlib.import_module(f"homophonic.{name}")
+            for cls in vars(module).values():
+                if isinstance(cls, type) and cls.__module__ == module.__name__:
+                    for attr, value in vars(cls).items():
+                        assert not isinstance(value, functools.cached_property), (cls, attr)
+
+    def test_a_second_read_returns_the_same_object(self):
+        word = w(DE, "a b a^-1 c")
+        for name in FACTS:
+            assert getattr(word, name) is getattr(word, name)
+        dataset = builtin_dataset("german")
+        assert dataset.alphabet() is dataset.alphabet()
+
+    @pytest.mark.parametrize("name", FACTS)
+    def test_a_fact_cannot_be_set_or_deleted_before_its_first_read(self, name):
+        word = w(ABC, "a b^-1 c")
+        with pytest.raises(AttributeError):
+            setattr(word, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(word, name)
+        check_fact(word, name, getattr(word, name))
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(["substitute", "cyclic_reduce", "relator_from_relation"]),
+           st.integers(0, 2**32 - 1))
+    def test_every_order_of_reads_gives_each_fact(self, how, seed):
+        for order in itertools.permutations(FACTS):
+            word = made_word(how, random.Random(seed))
+            for name in order:
+                value = getattr(word, name)
+                check_fact(word, name, value)
+                assert getattr(word, name) is value
 
 
 class TestEveryWordIsExactlyAWord:

@@ -1,22 +1,24 @@
 """Exact integer certificates for verdicts.
 
 Abelianizing a presentation turns each relator into a row of signed
-exponent sums.  The Smith normal form of that matrix gives invariant
-factors that any trivial or free verdict must agree with.  Everything
-here is exact integer arithmetic; Python integers never overflow.
+exponent sums.  The Smith normal form of the rows of its distinct relators
+(a repeat adds nothing to the row lattice) gives invariant factors that any
+trivial or free verdict must agree with.  Everything here is exact integer
+arithmetic; Python integers never overflow.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from operator import index
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .presentation import FreeOfRank, Presentation, Trivial, Unresolved, Verdict
+from .words import Word
 
 
 class ExponentMatrix(NamedTuple):
-    """Rows are relators, columns the live generators in id order."""
+    """One row per relator, repeats included; columns are the live generators in id order."""
 
     generator_ids: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -27,15 +29,20 @@ class AbelianInvariants(NamedTuple):
     torsion: tuple[int, ...]
 
 
-def exponent_matrix(p: Presentation) -> ExponentMatrix:
+def _rows(p: Presentation, relators: Iterable[Word]) -> tuple[tuple[int, ...], ...]:
+    """One row of signed exponent sums per relator, columns ``p``'s live generators in id order."""
     column = {g: j for j, g in enumerate(p.live_generators())}
     rows = []
-    for w in p.relators:
+    for w in relators:
         row = [0] * len(column)
         for g, sign in w:
             row[column[g]] += sign
         rows.append(tuple(row))
-    return ExponentMatrix(tuple(g.id for g in column), tuple(rows))
+    return tuple(rows)
+
+
+def exponent_matrix(p: Presentation) -> ExponentMatrix:
+    return ExponentMatrix(tuple(g.id for g in p.live_generators()), _rows(p, p.relators))
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -97,7 +104,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
 
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
-    factors = smith_normal_form(exponent_matrix(p).rows)
+    factors = smith_normal_form(_rows(p, dict.fromkeys(p.relators)))  # one row per distinct relator
     free_rank = len(p.live) - len(factors)
     return AbelianInvariants(free_rank, tuple(d for d in factors if d > 1))
 

@@ -115,8 +115,11 @@ class Presentation(Value):
     def from_relations(
         cls, alphabet: Alphabet, relations: Sequence[Relation]
     ) -> "Presentation":
-        """Check and build on the full alphabet; vacuous relations drop, duplicates stay."""
-        kept = [(w, rel.provenance) for rel in relations if (w := relator_from_relation(rel))]
+        """Check and build on the full alphabet; vacuous relations drop, and duplicates stay
+        as one shared ``Word``, whose facts are computed once."""
+        shared: dict[Word, Word] = {}
+        kept = [(shared.setdefault(w, w), rel.provenance)
+                for rel in relations if (w := relator_from_relation(rel))]
         return cls(alphabet, [w for w, _ in kept], [o for _, o in kept], alphabet.generator_set)
 
     def live_generators(self) -> tuple[Generator, ...]:

@@ -186,7 +186,7 @@ class Word(tuple):
         stack: list[SignedLetter] = []
         for i, sl in enumerate(letters):
             gen, sign = sl
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):  # not 1.0, not True
                 raise ValueError(f"bad sign {sign} at position {i}")
             if gen.language != language:
                 raise AlphabetMismatchError(

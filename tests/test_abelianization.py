@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import from_relators, invariant_factors_by_minors
+from helpers import from_relators, invariant_factors_by_minors, random_letters
 from homophonic.abelianization import (
     AbelianInvariants,
     abelian_invariants,
@@ -17,11 +18,14 @@ from homophonic.abelianization import (
 from homophonic.datasets import builtin_dataset, to_presentation
 from homophonic.presentation import (
     FreeOfRank,
+    Presentation,
+    Provenance,
+    Relation,
     Trivial,
     Unresolved,
     simplify,
 )
-from homophonic.words import Alphabet, parse_word
+from homophonic.words import Alphabet, Word, cyclic_reduce, parse_word
 
 TR = Alphabet("tr", "bcçdfgğhjklmnprsştvyzaeıioöuü")
 
@@ -172,6 +176,34 @@ class TestAbelianInvariants:
         alphabet = Alphabet("xx", "abc")
         p = pres(alphabet, "a b^-1")
         assert abelian_invariants(p) == AbelianInvariants(2, ())
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_repeated_relators_share_a_word_and_one_row(self, seed):
+        rng = random.Random(seed)
+        alphabet = Alphabet("xx", "abcd"[: rng.randint(1, 4)])
+        cores = [cyclic_reduce(Word(random_letters(rng, alphabet, 6)))[0] for _ in range(3)]
+        relations = []
+        for _ in range(rng.randint(1, 12)):  # repeats, rotations and inverses of a few cores
+            w = rng.choice(cores)
+            k = rng.randrange(len(w) + 1)
+            w = rng.choice([w, Word(w[k:] + w[:k]), w.inverse])
+            lhs, rhs = Word(w[:k]), Word(w[k:]).inverse  # fresh words with lhs * rhs^-1 = w
+            relations.append(Relation(lhs, rhs, Provenance(ref=str(len(relations)))))
+        p = Presentation.from_relations(alphabet, relations)
+
+        full = exponent_matrix(p)
+        assert len(full.rows) == len(p.relators)
+        factors = smith_normal_form(full.rows)
+        expected = (len(p.live) - len(factors), tuple(d for d in factors if d > 1))
+        assert abelian_invariants(p) == expected
+        first = {}
+        assert all(first.setdefault(w, w) is w for w in p.relators)
+        copies = [Word(tuple(w)) for w in p.relators]
+        unshared = Presentation(alphabet, copies, p.origins, p.live)
+        assert unshared == p and hash(unshared) == hash(p) and repr(unshared) == repr(p)
+        copied, first = pickle.loads(pickle.dumps(p)), {}
+        assert copied == unshared and all(first.setdefault(w, w) is w for w in copied.relators)
+        assert pickle.loads(pickle.dumps(unshared)) == p
 
 
 class TestConsistency:

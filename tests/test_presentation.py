@@ -492,6 +492,58 @@ class TestWorkingState:
         assert calls == [0, 0, 0]  # trace.final is built unchecked too
         assert len(set(rounds)) == 3 and min(rounds) > 1, rounds
 
+    def test_repeated_relators_cost_one_fact_each(self, monkeypatch):
+        import homophonic.abelianization
+        from homophonic.datasets import LanguageDataset, builtin_dataset, to_presentation
+        from homophonic.hangul import LEADS, SyllableDecomposition, compose_syllable
+
+        rng = random.Random(22)
+        tails = [(), ("ㄴ",), ("ㅇ",)]
+
+        def syllable(vowel, lead, tail):
+            return compose_syllable(SyllableDecomposition(lead, vowel, tail))
+
+        def around():  # up to two syllables whose vowels no confusion touches
+            return "".join(syllable(rng.choice("ㅏㅜㅡㅣ"), rng.choice(LEADS), rng.choice(tails))
+                           for _ in range(rng.randint(0, 2)))
+
+        records = []
+        for k in range(240):  # either vowel confusion, either way round, in varied words
+            a, b = [("ㅐ", "ㅔ"), ("ㅓ", "ㅗ"), ("ㅔ", "ㅐ"), ("ㅗ", "ㅓ")][k % 4]
+            before, after, lead, tail = around(), around(), rng.choice(LEADS), rng.choice(tails)
+            lhs = before + syllable(a, lead, tail) + after
+            records.append(Provenance("word", lhs, before + syllable(b, lead, tail) + after))
+        dataset = LanguageDataset("ko", builtin_dataset("korean").glyphs, records)
+
+        computed = {"counts": [], "cyclic_key": []}
+        for name, calls in computed.items():
+            fact = Word.__dict__[name]
+
+            def counting(word, compute=fact.compute, calls=calls):
+                calls.append(word)
+                return compute(word)
+
+            monkeypatch.setattr(fact, "compute", counting)
+        handed = []
+        real_snf = homophonic.abelianization.smith_normal_form
+
+        def snf(matrix):
+            handed.extend(matrix)
+            return real_snf(matrix)
+
+        monkeypatch.setattr(homophonic.abelianization, "smith_normal_form", snf)
+
+        p = to_presentation(dataset)
+        verdict, _ = simplify(p)
+        invariants = abelian_invariants(p)
+        distinct = set(p.relators)
+        assert len(p.relators) == 240 and len(distinct) == 4
+        for name, calls in computed.items():  # once per distinct relator, not once per record
+            assert sorted(w for w in calls if w in distinct) == sorted(distinct), name
+        assert len(handed) == 4 and set(handed) == set(exponent_matrix(p).rows)
+        assert isinstance(verdict, FreeOfRank) and invariants == (verdict.rank, ())
+        assert verdict.rank == len(dataset.glyphs) - 2
+
 
 class TestReplay:
     def test_replay_reproduces_verdict(self):

@@ -130,6 +130,14 @@ class TestFreeReduce:
         with pytest.raises(ValueError, match="bad sign"):
             Word((SignedLetter(DE.generator("a"), sign),))
 
+    @pytest.mark.parametrize("sign", [1.0, True, -1.0], ids=["float", "bool", "negative-float"])
+    def test_sign_that_is_not_an_int_rejected(self, sign):
+        a = DE.generator("a")
+        with pytest.raises(ValueError, match="bad sign .* at position 1"):
+            Word((SignedLetter(a, 1), SignedLetter(a, sign)))
+        with pytest.raises(ValueError, match="bad sign"):
+            free_reduce([SignedLetter(a, sign)])
+
     def test_construction_rejects_mixed_alphabets(self):
         raw = (SignedLetter(DE.generator("a"), 1), SignedLetter(TR.generator("a"), 1))
         with pytest.raises(AlphabetMismatchError):

@@ -11,7 +11,6 @@ from homophonic import (
     concat,
     cyclic_reduce,
     display,
-    invert,
     parse_word,
     relator_from_relation,
 )
@@ -27,7 +26,7 @@ print("wage   =", display(wage))
 
 # Declaring them equal makes waage * wage^-1 a relator.  Concatenation
 # cancels the shared tail "ge" and the doubled "a" collapses.
-product = concat(waage, invert(wage))
+product = concat(waage, wage.inverse)
 print("waage * wage^-1 =", display(product))
 
 # The relator is conjugate to a single letter: stripping the matching
@@ -41,4 +40,4 @@ print("relator(waage = wage) =", display(relator))
 
 # Inverses in input text use ^-1; the display uses a superscript.
 word = parse_word(german, "k a g^-1")
-print("parsed:", display(word), "and inverted:", display(invert(word)))
+print("parsed:", display(word), "and inverted:", display(word.inverse))

@@ -62,7 +62,6 @@ from .words import (
     cyclic_reduce,
     display,
     free_reduce,
-    invert,
     parse_word,
     split_graphemes,
     substitute,

@@ -54,8 +54,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     the diagonal a divisibility chain.  Raises ``ValueError`` on ragged input
     and ``TypeError`` on a non-integral entry.
     """
-    # Rows are {column: entry} dicts of the nonzeros.  Zero rows and repeated
-    # rows add nothing to the row lattice, so they are dropped.
+    # Rows are {column: entry} dicts of the nonzeros, so cost follows the nonzeros,
+    # not rows x columns.  Zero rows and repeated rows add nothing to the row
+    # lattice, so they are dropped.
     unique = dict.fromkeys(tuple(map(index, r)) for r in matrix)
     if len(set(map(len, unique))) > 1:
         raise ValueError("ragged matrix")

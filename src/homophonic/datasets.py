@@ -45,6 +45,9 @@ class DatasetError(ValueError):
 
 
 class LanguageDataset(Value):
+    """Builds its alphabet and relations once, on first use; each relation's provenance
+    is its record itself, so presentations and traces hold the dataset's own records."""
+
     __match_args__ = _compared = ("language", "glyphs", "records")  # __dict__ holds the caches
 
     def __init__(self, language: str, glyphs: tuple[str, ...], records: tuple[Provenance, ...]):
@@ -180,10 +183,6 @@ def serialize_dataset(dataset: LanguageDataset) -> str:
 
 def save_dataset(dataset: LanguageDataset, path: str | Path) -> None:
     Path(path).write_text(serialize_dataset(dataset), encoding="utf-8")
-
-
-def to_relations(dataset: LanguageDataset) -> list[Relation]:
-    return list(dataset._relations)
 
 
 def to_presentation(dataset: LanguageDataset) -> Presentation:

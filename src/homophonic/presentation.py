@@ -5,6 +5,8 @@ once in some relator: the relator is solved for it and the solution substituted 
 the others in one round, shared by ``eliminate`` and ``simplify``.  Only relators from outside
 are checked, by ``Presentation``: what substitution and dropping build stays valid unchecked.
 ``replay`` checks a trace by applying each recorded (relator, generator) pair with ``eliminate``.
+A round rebuilds only the relators that hold the eliminated generator; the others pass
+through as the same ``Word`` objects, so their facts are not derived again.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .words import (
     concat,
     cyclic_reduce,
     display,
-    invert,
     substitute,
 )
 
@@ -76,7 +77,7 @@ def relator_from_relation(rel: Relation) -> Word:
         j += 1
     while i < n - j and u[i] == v[i]:
         i += 1
-    rest = concat(_reduced(u[i : len(u) - j]), invert(_reduced(v[i : len(v) - j])))
+    rest = concat(_reduced(u[i : len(u) - j]), _reduced(v[i : len(v) - j]).inverse)
     return cyclic_reduce(rest)[0]
 
 
@@ -216,7 +217,7 @@ def solve_for(relator: Word, g: Generator) -> Word:
         raise NotEliminableError(f"relator {display(relator)} is not cyclically reduced")
     k = next(i for i, sl in enumerate(relator) if sl.gen == g)
     rest = _reduced(relator[k + 1 :] + relator[:k])  # reduced: relator is cyclically reduced
-    return invert(rest) if relator[k].sign > 0 else rest
+    return rest.inverse if relator[k].sign > 0 else rest
 
 
 def eliminate(
@@ -319,10 +320,8 @@ def replay(trace: EliminationTrace, p: Presentation) -> Verdict:
     return _verdict(q, "")
 
 
-def describe_verdict(verdict: Verdict, eliminated: int | None = None) -> str:
+def describe_verdict(verdict: Verdict, eliminated: int) -> str:
     if isinstance(verdict, Trivial):
-        if eliminated is None:
-            return "verdict: trivial"
         return f"verdict: trivial ({eliminated} generators eliminated)"
     if isinstance(verdict, FreeOfRank):
         basis = " ".join(g.glyph for g in verdict.basis)

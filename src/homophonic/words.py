@@ -2,7 +2,8 @@
 
 Generators are whole grapheme clusters ("a", "ss-zet", "soft g", Hangul jamo),
 words are freely reduced sequences of signed generators, and every operation
-here is a pure function on immutable values.
+here is a pure function on immutable values.  ``Word(...)`` walks its letters to
+reduce them; ``concat`` and ``substitute`` join reduced pieces, cancelling only at the seams.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class SelfReferenceError(ValueError):
 
 class Value:
     """An immutable value, not a tuple: it equals and hashes by its ``_compared`` fields, and
-    is set, shown, copied and pickled by its ``__match_args__``, through its constructor."""
+    is set, shown, copied and pickled by its ``__match_args__``, through its constructor.
+    It replaces ``dataclasses``, whose import pulls ``inspect`` and ``ast`` into start-up."""
 
     __slots__ = __match_args__ = _compared = ()
 
@@ -215,7 +217,8 @@ class Word(tuple):
     @fact
     def cyclic_key(self) -> tuple[int, ...]:
         """Least rotation of the word or of its inverse, letters as ±(id+1); equal
-        exactly for words of one alphabet that are equal up to rotation and inversion."""
+        exactly for words of one alphabet that are equal up to rotation and inversion.
+        Only rotations that start with the least letter are tried, so aᵏ still costs O(L²)."""
         seq = [sl.sign * (sl.gen.id + 1) for sl in self]
         inv = [-x for x in reversed(seq)]
         least = min(seq + inv, default=0)  # every least rotation starts with it (Booth 1980)
@@ -242,10 +245,6 @@ def _reduced(letters: Iterable[SignedLetter]) -> Word:
 def free_reduce(raw: Iterable[SignedLetter]) -> Word:
     """The unique freely reduced word equal to ``raw`` in the free group."""
     return Word(raw)
-
-
-def invert(w: Word) -> Word:
-    return w.inverse
 
 
 def _same_alphabet(u: Word, v: Word) -> None:
@@ -290,7 +289,7 @@ def substitute(w: Word, g: Generator, replacement: Word) -> Word:
     if not w.counts[g]:
         return w
     _same_alphabet(w, replacement)
-    inverse_replacement = invert(replacement)
+    inverse_replacement = replacement.inverse
     out: list[SignedLetter] = []
     for sl in w:
         if sl.gen == g:

@@ -15,7 +15,6 @@ from homophonic.datasets import (
     save_dataset,
     serialize_dataset,
     to_presentation,
-    to_relations,
 )
 from homophonic.hangul import compose_syllable, decompose_text, parse_jamo
 from homophonic.presentation import Provenance, relator_from_relation
@@ -124,7 +123,7 @@ class TestParsing:
 
     def test_decomposed_letter_in_a_word_record_is_the_nfc_generator(self):
         d = parse_dataset("@language de\n@alphabet w a ä g e\nword\twa\u0308ge\twage\tg\tr\n")
-        umlaut = to_relations(d)[0].lhs.letters[1].gen
+        umlaut = d._relations[0].lhs.letters[1].gen
         assert umlaut == d.alphabet().generator("\u00e4")
         assert umlaut.glyph == "\u00e4"
 
@@ -427,12 +426,12 @@ class TestBuiltinCorpora:
     @pytest.mark.parametrize("name", BUILTIN_LANGUAGES)
     def test_no_record_is_vacuous(self, name):
         d = builtin_dataset(name)
-        for relation in to_relations(d):
+        for relation in d._relations:
             assert relator_from_relation(relation), relation.provenance
 
     @pytest.mark.parametrize("name", BUILTIN_LANGUAGES)
     def test_relators_are_the_oracle_cores(self, name):
-        for relation in to_relations(builtin_dataset(name)):
+        for relation in builtin_dataset(name)._relations:
             assert_reduced(relation.lhs)
             assert_reduced(relation.rhs)
             unreduced = list(relation.lhs.letters) + inverse_oracle(relation.rhs.letters)
@@ -441,7 +440,7 @@ class TestBuiltinCorpora:
 
     def test_dataset_keeps_its_words_and_alphabet(self):
         d = builtin_dataset("korean")
-        first, second = to_relations(d), to_relations(d)
+        first, second = d._relations, d._relations
         assert all(a.lhs is b.lhs and a.rhs is b.rhs for a, b in zip(first, second))
         assert d.alphabet() is d.alphabet()
         assert to_presentation(d).alphabet is d.alphabet()
@@ -453,8 +452,8 @@ class TestBuiltinCorpora:
 
     @pytest.mark.parametrize(
         "entry",
-        [to_presentation, to_relations, LanguageDataset.alphabet],
-        ids=["to_presentation", "to_relations", "alphabet"],
+        [to_presentation, LanguageDataset.alphabet],
+        ids=["to_presentation", "alphabet"],
     )
     @pytest.mark.parametrize(
         "glyphs, index, message",
@@ -473,7 +472,7 @@ class TestBuiltinCorpora:
 
     def test_relation_provenance_is_its_record(self):
         d = builtin_dataset("korean")
-        assert all(rel.provenance is r for rel, r in zip(to_relations(d), d.records, strict=True))
+        assert all(rel.provenance is r for rel, r in zip(d._relations, d.records, strict=True))
 
     def test_empty_dataset_has_no_relators(self):
         d = parse_dataset("@language xx\n@alphabet a\n")

@@ -1,18 +1,22 @@
 """Every demo script runs to completion in a fresh interpreter and prints
 exactly its recorded output, ``golden/demos/<name>.out``; the README's
-library example runs cleanly too."""
+library example and command lines run cleanly too, and its code names exist."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import homophonic
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 GOLDEN = Path(__file__).parent / "golden" / "demos"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def run_demo(demo: Path) -> subprocess.CompletedProcess:
@@ -38,8 +42,7 @@ def test_demo_output_matches_golden(demo):
 
 
 def test_readme_library_example_runs_cleanly():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    example = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    example = re.search(r"```python\n(.*?)```", README, re.DOTALL).group(1)
     done = subprocess.run(
         [sys.executable, "-c", example], cwd=ROOT, capture_output=True, timeout=120
     )
@@ -49,3 +52,36 @@ def test_readme_library_example_runs_cleanly():
         "verdict: free of rank 2; basis: ㅏ ㅗ",
         "abelianization: free rank 2, torsion []; consistent: yes",
     ]
+
+
+README_COMMANDS = [
+    shlex.split(line, comments=True)[1:]
+    for block in re.findall(r"```sh\n(.*?)```", README, re.DOTALL)
+    for line in block.splitlines()
+    if line.startswith("homophonic ")
+]
+
+
+@pytest.mark.parametrize("args", README_COMMANDS, ids=lambda args: args[0])
+def test_readme_command_runs_from_the_root(args):
+    done = subprocess.run(
+        [sys.executable, "-m", "homophonic", *args], cwd=ROOT, capture_output=True, timeout=120
+    )
+    assert done.stderr == b""
+    assert done.returncode == 0
+    if args[0] == "decompose":
+        assert done.stdout.decode("utf-8") == "ㅂ+ㅜ+ㅇ+ㅓ+ㅋ\n"
+
+
+def test_readme_calls_name_package_attributes():
+    """Each inline code span that opens with a call, such as ``Alphabet.letter(glyph)``,
+    names an attribute of the package, so a removed name cannot linger in the docs."""
+    prose = re.sub(r"```.*?```", "", README, flags=re.DOTALL)
+    spans = re.findall(r"`([^`]+)`", prose)
+    calls = [m.group(1) for span in spans if (m := re.match(r"([A-Za-z_][\w.]*)\(", span))]
+    assert "Word" in calls
+    for name in calls:
+        target = homophonic
+        for part in name.split("."):
+            assert hasattr(target, part), name
+            target = getattr(target, part)

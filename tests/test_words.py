@@ -38,7 +38,6 @@ from homophonic.words import (
     cyclic_reduce,
     display,
     free_reduce,
-    invert,
     parse_word,
     split_graphemes,
     substitute,
@@ -105,7 +104,7 @@ class TestFreeReduce:
         assert free_reduce(raw) == EMPTY_WORD
 
     def test_scales_pair_relator(self):
-        raw = list(w(DE, "w a a g e").letters) + list(invert(w(DE, "w a g e")).letters)
+        raw = list(w(DE, "w a a g e").letters) + list(w(DE, "w a g e").inverse.letters)
         expected = Word(tuple(reduce_oracle(raw)))
         reduced = free_reduce(raw)
         assert reduced == expected
@@ -152,14 +151,14 @@ class TestFreeReduce:
 
 class TestInvertConcat:
     def test_invert_reverses_and_flips(self):
-        assert invert(w(DE, "a b")) == w(DE, "b^-1 a^-1")
+        assert w(DE, "a b").inverse == w(DE, "b^-1 a^-1")
 
     def test_invert_empty(self):
-        assert invert(EMPTY_WORD) == EMPTY_WORD
+        assert EMPTY_WORD.inverse == EMPTY_WORD
 
     def test_invert_is_involution(self):
         word = w(TR, "k a ğ^-1")
-        assert invert(invert(word)) == word
+        assert word.inverse.inverse == word
 
     def test_concat_cancels_at_boundary(self):
         assert concat(w(DE, "a b"), w(DE, "b^-1 c")) == w(DE, "a c")
@@ -385,8 +384,8 @@ class TestProperties:
     @given(raw_letters)
     def test_inverse_law(self, raw):
         word = free_reduce(raw)
-        assert concat(word, invert(word)) == EMPTY_WORD
-        assert concat(invert(word), word) == EMPTY_WORD
+        assert concat(word, word.inverse) == EMPTY_WORD
+        assert concat(word.inverse, word) == EMPTY_WORD
 
     @settings(max_examples=50)
     @given(raw_letters, raw_letters, raw_letters)
@@ -398,7 +397,7 @@ class TestProperties:
     def test_cyclic_reduce_reconstructs(self, raw):
         word = free_reduce(raw)
         core, conj = cyclic_reduce(word)
-        assert concat(concat(conj, core), invert(conj)) == word
+        assert concat(concat(conj, core), conj.inverse) == word
         assert (not core) == (not word)
         if len(core) >= 2:
             assert core.letters[0] != core.letters[-1].inverse()
@@ -424,9 +423,9 @@ class TestProperties:
     @given(raw_letters)
     def test_inverse_is_the_reversed_word_with_signs_flipped(self, raw):
         word = free_reduce(raw)
-        inverse = invert(word)
-        assert invert(word) is inverse
-        assert invert(inverse) == word
+        inverse = word.inverse
+        assert word.inverse is inverse
+        assert inverse.inverse == word
         assert inverse.letters == tuple(inverse_oracle(word.letters))
         assert inverse == Word(tuple(inverse_oracle(word.letters)))
         assert all(type(sl) is SignedLetter for sl in inverse.letters)
@@ -510,10 +509,10 @@ class TestWordIsItsLetters:
 
     def test_plus_joins_tuples_unreduced(self):
         a = w(DE, "a")
-        joined = a + invert(a)
+        joined = a + a.inverse
         assert type(joined) is tuple
         assert joined == (DE.letter("a"), DE.letter("a").inverse())
-        assert concat(a, invert(a)) == EMPTY_WORD
+        assert concat(a, a.inverse) == EMPTY_WORD
 
     def test_repr_names_the_word(self):
         assert repr(w(DE, "a b^-1")) == "Word(a·b⁻¹)"
@@ -540,7 +539,7 @@ def made_word(how: str, rng: random.Random) -> Word:
     if how == "substitute":
         return substitute(u, ABC[0], Word(sl for sl in v if sl.gen != ABC[0]))
     if how == "cyclic_reduce":
-        return cyclic_reduce(concat(concat(v, u), invert(v)))[0]
+        return cyclic_reduce(concat(concat(v, u), v.inverse))[0]
     return relator_from_relation(Relation(u, v))
 
 
@@ -605,14 +604,14 @@ class TestEveryWordIsExactlyAWord:
     def test_word_functions_return_words(self, u, v, gen_index):
         g = ABC[gen_index]
         replacement = Word(sl for sl in v if sl.gen != g)
-        conjugate = concat(concat(v, u), invert(v))
+        conjugate = concat(concat(v, u), v.inverse)
         tokens = " ".join(sl.gen.glyph + ("^-1" if sl.sign < 0 else "") for sl in conjugate)
         glyphs = [sl.gen.glyph for sl in u]
         outputs = [
             concat(u, v),
             substitute(u, g, replacement),
             substitute(conjugate, g, replacement),
-            invert(u),
+            u.inverse,
             *cyclic_reduce(u),
             *cyclic_reduce(conjugate),
             ABC.positive_word(glyphs),

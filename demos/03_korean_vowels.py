@@ -26,7 +26,7 @@ presentation = to_presentation(dataset)
 print(f"\n{len(dataset.glyphs)} characters, {len(dataset.records)} relations")
 
 verdict, trace = simplify(presentation)
-print(describe_verdict(verdict, eliminated=len(trace.steps)))
+print(describe_verdict(verdict, trace))
 print(certificate_line(abelian_invariants(presentation), verdict))
 
 assert isinstance(verdict, FreeOfRank)

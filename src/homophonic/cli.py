@@ -134,14 +134,14 @@ def cmd_simplify(args: argparse.Namespace) -> int:
     if args.trace and not args.machine:
         print(render_trace(trace, verdict))
     else:
-        print(describe_verdict(verdict, eliminated=len(trace.steps)))
+        print(describe_verdict(verdict, trace))
     return _exit_code(verdict)
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
     _, presentation, verdict, trace = _simplified(args, args.dataset)
     invariants = abelian_invariants(presentation)
-    print(describe_verdict(verdict, eliminated=len(trace.steps)))
+    print(describe_verdict(verdict, trace))
     print(certificate_line(invariants, verdict))
     return _exit_code(verdict, invariants)
 
@@ -164,7 +164,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"== {name} ==",
             f"alphabet size: {len(dataset.glyphs)}",
             f"relations: {len(dataset.records)}",
-            describe_verdict(verdict, eliminated=len(trace.steps)),
+            describe_verdict(verdict, trace),
             "elimination:",
         ]
         if args.machine:

@@ -98,7 +98,9 @@ class Presentation(Value):
             raise ValueError("origins must align with relators")
         if not live <= alphabet.generator_set:
             raise ValueError("live generators must be generators of the alphabet")
-        for w in relators:  # nonempty, over live, cyclically reduced
+        for i, w in enumerate(relators):  # Words, nonempty, over live, cyclically reduced
+            if type(w) is not Word:
+                raise ValueError(f"relator {i} is not a Word: {w!r}")
             if not w:
                 raise ValueError("empty relator")
             if not w.counts.keys() <= live:
@@ -143,13 +145,9 @@ class FreeOfRank(Value):
 
 
 class Unresolved(Value):
-    """Simplification stopped with relators left over."""
+    """Simplification stopped with relators left over; ``trace.reason`` says why."""
 
-    __slots__ = __match_args__ = ("remaining", "reason")
-    _compared = ("remaining",)  # the reason says why simplify stopped; empty from replay
-
-    def __init__(self, remaining: Presentation, reason: str = ""):
-        super().__init__(remaining, reason)
+    __slots__ = __match_args__ = _compared = ("remaining",)
 
 
 Verdict = Trivial | FreeOfRank | Unresolved
@@ -165,6 +163,7 @@ class EliminationStep(NamedTuple):
 class EliminationTrace(NamedTuple):
     steps: tuple[EliminationStep, ...]
     final: Presentation
+    reason: str  # why the run stopped
 
 
 def _collect(alphabet, live, cores, origins) -> Presentation:
@@ -243,10 +242,10 @@ def eliminable(p: Presentation) -> list[tuple[int, Generator]]:
     return [(i, g) for i, w in enumerate(p.relators) for g, n in w.counts.items() if n == 1]
 
 
-def _verdict(p: Presentation, reason: str) -> Verdict:
-    """The verdict a final presentation gives; ``reason`` says why an unresolved run stopped."""
+def _verdict(p: Presentation) -> Verdict:
+    """The verdict a final presentation gives."""
     if p.relators:
-        return Unresolved(p, reason)
+        return Unresolved(p)
     if p.live:
         return FreeOfRank(len(p.live), p.live_generators())
     return Trivial()
@@ -264,9 +263,9 @@ def simplify(
     A round eliminates the largest-id single-occurrence generator of the shortest relator
     that has one, the lowest index on a tie, so earlier-alphabet letters survive; a ``pick``
     hook chooses instead, from the presentation and its ``eliminable`` pairs.  Hitting a
-    limit yields an Unresolved verdict whose ``reason`` names it, not an error.  Slots start as
-    ``normalize`` leaves ``p``, round as ``eliminate`` and end, unchecked, in ``trace.final``;
-    an index is a slot's rank.
+    limit yields an Unresolved verdict, not an error; ``trace.reason`` says why the run
+    stopped.  Slots start as ``normalize`` leaves ``p``, round as ``eliminate`` and end,
+    unchecked, in ``trace.final``; an index is a slot's rank.
     """
     slots, where = _slots(p)  # None once dropped
     singles = [[g for g, n in w.counts.items() if n == 1] if w else [] for w in slots]  # by id
@@ -298,14 +297,14 @@ def simplify(
             reason = "relator length limit exceeded"
             break
     final = _collect(p.alphabet, live, slots, p.origins)
-    return _verdict(final, reason), EliminationTrace(tuple(steps), final)
+    return _verdict(final), EliminationTrace(tuple(steps), final, reason)
 
 
 def replay(trace: EliminationTrace, p: Presentation) -> Verdict:
     """Apply the recorded (relator index, generator) pairs with ``eliminate``: each
     recorded step must equal the one it makes, and ``trace.final`` the presentation
     reached.  The TraceInvalidError names the first step that differs or that
-    ``eliminate`` refuses, else ``len(trace.steps)``.  An Unresolved reason is empty."""
+    ``eliminate`` refuses, else ``len(trace.steps)``."""
     q = normalize(p)
     for i, step in enumerate(trace.steps):
         try:
@@ -317,27 +316,26 @@ def replay(trace: EliminationTrace, p: Presentation) -> Verdict:
             raise TraceInvalidError(i, "recorded step differs from the re-run's step")
     if q != trace.final:
         raise TraceInvalidError(len(trace.steps), "final presentation differs from the re-run's")
-    return _verdict(q, "")
+    return _verdict(q)
 
 
-def describe_verdict(verdict: Verdict, eliminated: int) -> str:
+def describe_verdict(verdict: Verdict, trace: EliminationTrace) -> str:
+    """The verdict line; the step count and the stop reason come from the run's trace."""
     if isinstance(verdict, Trivial):
-        return f"verdict: trivial ({eliminated} generators eliminated)"
+        return f"verdict: trivial ({len(trace.steps)} generators eliminated)"
     if isinstance(verdict, FreeOfRank):
         basis = " ".join(g.glyph for g in verdict.basis)
         return f"verdict: free of rank {verdict.rank}; basis: {basis}"
     left = verdict.remaining
-    why = f"; {verdict.reason}" if verdict.reason else ""
-    return (
-        f"verdict: unresolved ({len(left.live)} generators live, "
-        f"{len(left.relators)} relators remain{why})"
-    )
+    why = f"; {trace.reason}" if trace.reason else ""
+    return (f"verdict: unresolved ({len(left.live)} generators live, "
+            f"{len(left.relators)} relators remain{why})")
 
 
 def render_trace(trace: EliminationTrace, verdict: Verdict) -> str:
     """Two-column elimination table followed by the verdict line."""
     lines = _table_rows(trace)
-    lines.append(describe_verdict(verdict, eliminated=len(trace.steps)))
+    lines.append(describe_verdict(verdict, trace))
     return "\n".join(lines)
 
 

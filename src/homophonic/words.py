@@ -163,9 +163,6 @@ class Alphabet:
             raise UnknownGlyphError(glyph, position)
         return sl
 
-    def generator(self, glyph: str, position: int | None = None) -> Generator:
-        return self.letter(glyph, position).gen
-
     def word(self, text: str) -> "Word":
         """Tokenize plain text (no inverse marks) into a word, one generator
         per grapheme cluster."""
@@ -184,16 +181,19 @@ class Word(tuple):
 
     def __new__(cls, letters: Iterable[SignedLetter] = ()):
         letters = tuple(letters)
-        language = letters[0].gen.language if letters else None
+        language = None  # the first letter's
         stack: list[SignedLetter] = []
         for i, sl in enumerate(letters):
+            if type(sl) is not SignedLetter or type(sl[0]) is not Generator:
+                raise ValueError(f"bad letter {sl!r} at position {i}")
             gen, sign = sl
             if type(sign) is not int or sign not in (1, -1):  # not 1.0, not True
                 raise ValueError(f"bad sign {sign} at position {i}")
             if gen.language != language:
-                raise AlphabetMismatchError(
-                    f"mixed alphabets: {language!r} and {gen.language!r}"
-                )
+                if i:
+                    raise AlphabetMismatchError(f"mixed alphabets: {language!r} and"
+                                                f" {gen.language!r}")
+                language = gen.language
             if stack and stack[-1].sign == -sign and stack[-1].gen == gen:
                 stack.pop()
             else:

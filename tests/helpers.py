@@ -216,7 +216,7 @@ def reference_simplify(
 ):
     """The elimination loop as one presentation per round: ``reference_normalize``,
     then ``eliminable``, the pick, ``reference_eliminate`` and the length check over
-    every relator.  It returns what ``simplify`` does, reason included."""
+    every relator.  It returns what ``simplify`` does, the trace's reason included."""
     p = reference_normalize(p)
     steps = []
     reason = "no relator with a single-occurrence generator"
@@ -231,12 +231,12 @@ def reference_simplify(
             reason = "relator length limit exceeded"
             break
     if p.relators:
-        verdict = Unresolved(p, reason)
+        verdict = Unresolved(p)
     elif p.live:
         verdict = FreeOfRank(len(p.live), tuple(sorted(p.live, key=lambda g: g.id)))
     else:
         verdict = Trivial()
-    return verdict, EliminationTrace(tuple(steps), p)
+    return verdict, EliminationTrace(tuple(steps), p, reason)
 
 
 def trace_oracle(p: Presentation, trace: EliminationTrace, verdict) -> None:

@@ -55,7 +55,7 @@ class TestExponentMatrix:
         p = pres(TR, "ğ^-1")
         m = exponent_matrix(p)
         row = m.rows[0]
-        g_column = m.generator_ids.index(TR.generator("ğ").id)
+        g_column = m.generator_ids.index(TR.letter("ğ").gen.id)
         assert row[g_column] == -1
         assert all(v == 0 for j, v in enumerate(row) if j != g_column)
 

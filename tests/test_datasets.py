@@ -124,7 +124,7 @@ class TestParsing:
     def test_decomposed_letter_in_a_word_record_is_the_nfc_generator(self):
         d = parse_dataset("@language de\n@alphabet w a ä g e\nword\twa\u0308ge\twage\tg\tr\n")
         umlaut = d._relations[0].lhs.letters[1].gen
-        assert umlaut == d.alphabet().generator("\u00e4")
+        assert umlaut == d.alphabet().letter("\u00e4").gen
         assert umlaut.glyph == "\u00e4"
 
     @pytest.mark.parametrize(

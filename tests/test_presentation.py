@@ -110,46 +110,46 @@ class TestRelatorFromRelation:
 class TestEliminate:
     def test_single_letter_relator_gives_empty_solution(self):
         p = pres(DE, "a")
-        reduced, step = eliminate(p, DE.generator("a"), 0)
+        reduced, step = eliminate(p, DE.letter("a").gen, 0)
         assert step.solution == EMPTY_WORD
         assert reduced.relators == ()
-        assert DE.generator("a") not in reduced.live
+        assert DE.letter("a").gen not in reduced.live
 
     def test_solving_rearranges_around_the_occurrence(self):
         p = pres(TR, "a b e y e^-1 b^-1")
-        reduced, step = eliminate(p, TR.generator("y"), 0)
+        reduced, step = eliminate(p, TR.letter("y").gen, 0)
         assert step.solution == w(TR, "e^-1 b^-1 a^-1 b e")
         # Substituting the solution back into the source relator kills it.
-        check = substitute(p.relators[0], TR.generator("y"), step.solution)
+        check = substitute(p.relators[0], TR.letter("y").gen, step.solution)
         assert cyclic_reduce(check)[0] == EMPTY_WORD
         assert reduced.relators == ()
 
     def test_double_occurrence_is_not_eliminable(self):
         p = pres(DE, "g g")
         with pytest.raises(NotEliminableError):
-            eliminate(p, DE.generator("g"), 0)
+            eliminate(p, DE.letter("g").gen, 0)
 
     def test_solve_for_refuses_a_relator_that_is_not_cyclically_reduced(self):
         # A relator from outside a Presentation: g occurs once, but a and a^-1 wrap around.
         alphabet = Alphabet("x", "ag")
         with pytest.raises(NotEliminableError, match="a·g·a⁻¹ is not cyclically reduced"):
-            solve_for(parse_word(alphabet, "a g a^-1"), alphabet.generator("g"))
+            solve_for(parse_word(alphabet, "a g a^-1"), alphabet.letter("g").gen)
 
     def test_substitution_rewrites_other_relators(self):
         p = pres(DE, "a b^-1", "b c^-1")
-        reduced, _ = eliminate(p, DE.generator("b"), 0)
+        reduced, _ = eliminate(p, DE.letter("b").gen, 0)
         assert reduced.relators == (w(DE, "a c^-1"),)
 
     def test_relators_made_equal_are_kept_once(self):
         # Eliminating b := a turns c b c b into a second copy of c a c a.
         p = pres(DE, "a b^-1", "c a c a", "c b c b")
-        reduced, _ = eliminate(p, DE.generator("b"), 0)
+        reduced, _ = eliminate(p, DE.letter("b").gen, 0)
         assert reduced.relators == (w(DE, "c a c a"),)
         assert reduced.origins == (p.origins[1],)
 
     def test_relators_without_the_generator_pass_through(self):
         p = pres(DE, "a b^-1", "c d c d", "b c")
-        reduced, _ = eliminate(p, DE.generator("b"), 0)
+        reduced, _ = eliminate(p, DE.letter("b").gen, 0)
         assert reduced.relators[0] is p.relators[1]
         assert reduced.relators[1] == w(DE, "a c")
 
@@ -163,7 +163,7 @@ class TestEliminate:
 
         monkeypatch.setattr(homophonic.presentation, "substitute", recording)
         p = pres(DE, "a b^-1", "c d c d", "b c", "e f", "c b^-1 d")
-        eliminate(p, DE.generator("b"), 0)
+        eliminate(p, DE.letter("b").gen, 0)
         assert substituted == [p.relators[0], p.relators[2], p.relators[4]]
 
 
@@ -224,7 +224,7 @@ class TestSimplify:
 
     def test_relator_with_an_eliminated_generator_rejected(self):
         abc = Alphabet("de", "abc")
-        live = frozenset({abc.generator("a"), abc.generator("c")})  # b is eliminated
+        live = frozenset({abc.letter("a").gen, abc.letter("c").gen})  # b is eliminated
         with pytest.raises(AlphabetMismatchError, match="not over the live generators"):
             Presentation(abc, (w(abc, "a b"),), (Provenance(),), live)
 
@@ -232,7 +232,7 @@ class TestSimplify:
     # and a bare int.
     @pytest.mark.parametrize(
         "extra",
-        [Alphabet("tr", "abc").generator("a"), Alphabet("de", "abcd").generator("d"), 0],
+        [Alphabet("tr", "abc").letter("a").gen, Alphabet("de", "abcd").letter("d").gen, 0],
         ids=["negative", "past-the-end", "not-an-id"],
     )
     def test_live_id_that_names_no_generator_rejected(self, extra):
@@ -254,6 +254,16 @@ class TestSimplify:
         with pytest.raises(ValueError, match=message):
             Presentation(abc, words, origins, abc.generator_set)
 
+    @pytest.mark.parametrize(
+        "relator",
+        [(SignedLetter(ABC[0], 1),), [SignedLetter(ABC[0], 1)], "a"],
+        ids=["tuple", "list", "str"],
+    )
+    def test_relator_that_is_not_a_word_rejected(self, relator):
+        relators = (w(ABC, "a b"), relator)
+        with pytest.raises(ValueError, match="relator 1 is not a Word"):
+            Presentation(ABC, relators, (Provenance(), Provenance()), ABC.generator_set)
+
     def test_relator_that_is_not_cyclically_reduced_rejected(self):
         abc = Alphabet("de", "abc")
         live = abc.generator_set
@@ -272,16 +282,30 @@ class TestSimplify:
     def test_unresolved_reason_names_the_bound_that_fired(self, limits, reason):
         from homophonic.datasets import builtin_dataset, to_presentation
 
-        verdict, _ = simplify(to_presentation(builtin_dataset("german")), **limits)
-        assert verdict.reason == reason
+        verdict, trace = simplify(to_presentation(builtin_dataset("german")), **limits)
+        assert isinstance(verdict, Unresolved)
+        assert trace.reason == reason
 
     def test_unresolved_reason_without_a_bound(self):
-        verdict, _ = simplify(pres(Alphabet("xx", "a"), "a a"))
-        assert verdict.reason == "no relator with a single-occurrence generator"
+        verdict, trace = simplify(pres(Alphabet("xx", "a"), "a a"))
+        assert isinstance(verdict, Unresolved)
+        assert trace.reason == "no relator with a single-occurrence generator"
 
-    def test_unresolved_verdicts_equal_whatever_their_reasons(self):
-        p = pres(DE, "a a")
-        assert Unresolved(p, "round limit reached") == Unresolved(p, "some other reason")
+    def test_the_trace_of_a_resolved_run_has_the_no_candidate_reason(self):
+        verdict, trace = simplify(pres(DE, "a b^-1"))
+        assert isinstance(verdict, FreeOfRank)
+        assert trace.reason == "no relator with a single-occurrence generator"
+
+    def test_runs_that_stop_for_different_reasons_give_equal_verdicts(self):
+        # c := b⁻¹·a turns c·c·c into a relator of length 6 with no single letter, so
+        # the length bound fires on the presentation where the unbounded run stops.
+        p = pres(DE, "c a^-1 b", "c c c")
+        bounded, bounded_trace = simplify(p, max_relator_len=5)
+        unbounded, unbounded_trace = simplify(p)
+        assert bounded_trace.reason == "relator length limit exceeded"
+        assert unbounded_trace.reason == "no relator with a single-occurrence generator"
+        assert bounded_trace.steps == unbounded_trace.steps
+        assert isinstance(bounded, Unresolved) and bounded == unbounded
 
     def test_two_loads_of_a_corpus_are_equal(self):
         from homophonic.datasets import builtin_dataset, to_presentation
@@ -304,7 +328,7 @@ class TestSimplify:
         abc = Alphabet("de", "abc")
         verdict, trace = simplify(pres(abc, "a b"))
         assert [step.generator.glyph for step in trace.steps] == ["b"]
-        assert verdict == FreeOfRank(2, (abc.generator("a"), abc.generator("c")))
+        assert verdict == FreeOfRank(2, (abc.letter("a").gen, abc.letter("c").gen))
 
     def test_relator_over_an_equal_alphabet_accepted(self):
         rel = Relation(parse_word(Alphabet("de", "abc"), "a b"), EMPTY_WORD)
@@ -334,10 +358,9 @@ def corpus_presentations() -> list[Presentation]:
 
 
 def assert_same_run(got, want) -> None:
-    """Equal verdicts of one kind with one reason, and equal traces, ``final`` included."""
+    """Equal verdicts of one kind, and equal traces, ``final`` and ``reason`` included."""
     assert type(got[0]) is type(want[0])
     assert got == want
-    assert getattr(got[0], "reason", None) == getattr(want[0], "reason", None)
 
 
 def recording(pick, seen: list):
@@ -401,7 +424,7 @@ class TestWorkingState:
         p = pres(DE, "b a^-1", "c c c c c")
         verdict, trace = simplify(p, max_relator_len=3)
         assert len(trace.steps) == 1
-        assert verdict.reason == "relator length limit exceeded"
+        assert trace.reason == "relator length limit exceeded"
         assert_same_run((verdict, trace), reference_simplify(p, max_relator_len=3))
 
     def test_a_long_input_relator_that_round_one_rebuilds_short_does_not(self):
@@ -561,7 +584,8 @@ class TestReplay:
     def test_empty_trace_on_free_presentation(self):
         alphabet = Alphabet("xx", "a")
         p = from_relators(alphabet, [])
-        verdict = replay(EliminationTrace((), p), p)
+        trace = EliminationTrace((), p, "no relator with a single-occurrence generator")
+        verdict = replay(trace, p)
         assert verdict == FreeOfRank(1, alphabet.generators)
 
     def test_tampered_relator_index_detected(self):
@@ -573,7 +597,7 @@ class TestReplay:
             trace.steps[0].relator_index + 1,
             trace.steps[0].provenance,
         )
-        tampered = EliminationTrace((bad_step,) + trace.steps[1:], trace.final)
+        tampered = trace._replace(steps=(bad_step,) + trace.steps[1:])
         with pytest.raises(TraceInvalidError) as err:
             replay(tampered, p)
         assert err.value.step_index == 0
@@ -604,7 +628,7 @@ class TestReplay:
         bad_step = trace.steps[1]._replace(solution=concat(trace.steps[1].solution, w(DE, "z")))
         steps = trace.steps[:1] + (bad_step,) + trace.steps[2:]
         with pytest.raises(TraceInvalidError) as err:
-            replay(EliminationTrace(steps, trace.final), p)
+            replay(trace._replace(steps=steps), p)
         assert err.value.step_index == 1
 
     def test_first_bad_step_is_named_before_a_later_one(self):
@@ -614,7 +638,7 @@ class TestReplay:
         bad_solution = first._replace(solution=concat(first.solution, w(DE, "z")))
         bad_index = third._replace(relator_index=99)
         with pytest.raises(TraceInvalidError) as err:
-            replay(EliminationTrace((bad_solution, second, bad_index), trace.final), p)
+            replay(trace._replace(steps=(bad_solution, second, bad_index)), p)
         assert err.value.step_index == 0
 
     def test_forged_final_presentation_detected(self):
@@ -625,7 +649,7 @@ class TestReplay:
         final = trace.final
         forged = Presentation(final.alphabet, final.relators[:1], final.origins[:1], final.live)
         with pytest.raises(TraceInvalidError) as err:
-            replay(EliminationTrace(trace.steps, forged), p)
+            replay(trace._replace(final=forged), p)
         assert err.value.step_index == len(trace.steps)
 
     def test_final_presentation_of_a_second_load_accepted(self):
@@ -641,7 +665,7 @@ class TestReplay:
         _, trace = simplify(p)
         steps = trace.steps + trace.steps[-1:]
         with pytest.raises(TraceInvalidError) as err:
-            replay(EliminationTrace(steps, trace.final), p)
+            replay(trace._replace(steps=steps), p)
         assert err.value.step_index == len(trace.steps)
 
     @pytest.mark.parametrize("field", ["relator_index", "solution", "provenance", "generator"])
@@ -671,20 +695,21 @@ class TestReplay:
                 continue
             steps = trace.steps[:k] + (bad,) + trace.steps[k + 1 :]
             with pytest.raises(TraceInvalidError) as err:
-                replay(EliminationTrace(steps, trace.final), p)
+                replay(trace._replace(steps=steps), p)
             assert err.value.step_index == k, (seed, err.value)
             rejected += 1
         assert rejected >= 100
 
-    def test_replay_of_a_round_stopped_trace_has_no_reason(self):
+    def test_replay_of_a_round_stopped_trace_is_exactly_the_verdict(self):
         from homophonic.datasets import builtin_dataset, to_presentation
 
         p = to_presentation(builtin_dataset("german"))
         verdict, trace = simplify(p, max_rounds=3)
         replayed = replay(trace, p)
-        assert verdict.reason == "round limit reached"
-        assert replayed == verdict
-        assert replayed.reason == ""
+        assert trace.reason == "round limit reached"
+        assert type(replayed) is Unresolved
+        assert replayed == verdict and hash(replayed) == hash(verdict)
+        assert replayed.__reduce__() == verdict.__reduce__()  # every field, shown or compared
 
     # On German's greedy trace no two adjacent steps commute, so a dropped or
     # swapped step is caught at its own index.
@@ -696,7 +721,7 @@ class TestReplay:
         for k in range(len(trace.steps)):
             steps = trace.steps[:k] + trace.steps[k + 1 :]
             with pytest.raises(TraceInvalidError) as err:
-                replay(EliminationTrace(steps, trace.final), p)
+                replay(trace._replace(steps=steps), p)
             assert err.value.step_index == k
 
     def test_two_swapped_steps_are_rejected_at_the_first(self):
@@ -707,7 +732,7 @@ class TestReplay:
         for k in range(len(trace.steps) - 1):
             steps = trace.steps[:k] + (trace.steps[k + 1], trace.steps[k]) + trace.steps[k + 2 :]
             with pytest.raises(TraceInvalidError) as err:
-                replay(EliminationTrace(steps, trace.final), p)
+                replay(trace._replace(steps=steps), p)
             assert err.value.step_index == k
 
     def test_a_negative_relator_index_is_rejected(self):
@@ -717,7 +742,7 @@ class TestReplay:
         assert trace.steps[0].relator_index == len(p.relators) - 1
         steps = (trace.steps[0]._replace(relator_index=-1),) + trace.steps[1:]
         with pytest.raises(TraceInvalidError, match="is not eliminable") as err:
-            replay(EliminationTrace(steps, trace.final), p)
+            replay(trace._replace(steps=steps), p)
         assert err.value.step_index == 0
 
     def test_a_generator_eliminated_earlier_is_rejected(self):
@@ -729,7 +754,7 @@ class TestReplay:
             bad = trace.steps[k]._replace(generator=trace.steps[k - 1].generator)
             steps = trace.steps[:k] + (bad,) + trace.steps[k + 1 :]
             with pytest.raises(TraceInvalidError, match="is not eliminable") as err:
-                replay(EliminationTrace(steps, trace.final), p)
+                replay(trace._replace(steps=steps), p)
             assert err.value.step_index == k
 
     @pytest.mark.parametrize(
@@ -781,7 +806,7 @@ class TestTraceOracle:
         for k in range(len(trace.steps)):
             steps = trace.steps[:k] + trace.steps[k + 1 :]
             with pytest.raises(AssertionError):
-                trace_oracle(p, EliminationTrace(steps, trace.final), verdict)
+                trace_oracle(p, trace._replace(steps=steps), verdict)
 
     def test_a_solution_with_a_live_letter_appended_fails(self):
         p = corpus_presentations()[0]
@@ -797,7 +822,7 @@ class TestTraceOracle:
             bad = step._replace(solution=concat(step.solution, letter))
             steps = trace.steps[:k] + (bad,) + trace.steps[k + 1 :]
             with pytest.raises(AssertionError, match=f"step {k}:"):
-                trace_oracle(p, EliminationTrace(steps, trace.final), verdict)
+                trace_oracle(p, trace._replace(steps=steps), verdict)
             tampered += 1
         assert tampered == len(trace.steps) - 1  # the last step leaves no other live letter
 
@@ -824,39 +849,41 @@ class TestTraceOracle:
                     continue  # the second step's relator was not rewritten by the first
                 steps = trace.steps[:k] + (second, first) + trace.steps[k + 2 :]
                 with pytest.raises(AssertionError, match=f"step {k}:"):
-                    trace_oracle(p, EliminationTrace(steps, trace.final), verdict)
+                    trace_oracle(p, trace._replace(steps=steps), verdict)
                 swaps += 1
         assert swaps > 10, swaps
 
 
 class TestVerdictText:
     def test_trivial_line(self):
-        assert (
-            describe_verdict(Trivial(), eliminated=30)
-            == "verdict: trivial (30 generators eliminated)"
-        )
+        from homophonic.datasets import builtin_dataset, to_presentation
+
+        verdict, trace = simplify(to_presentation(builtin_dataset("german")))
+        assert len(trace.steps) == 30
+        assert describe_verdict(verdict, trace) == "verdict: trivial (30 generators eliminated)"
 
     def test_free_line_lists_basis(self):
         alphabet = Alphabet("xx", "ab")
-        verdict = FreeOfRank(2, alphabet.generators)
-        assert describe_verdict(verdict, eliminated=0) == "verdict: free of rank 2; basis: a b"
+        verdict, trace = simplify(from_relators(alphabet, []))
+        assert verdict == FreeOfRank(2, alphabet.generators)
+        assert describe_verdict(verdict, trace) == "verdict: free of rank 2; basis: a b"
 
     def test_unresolved_line(self):
         p = pres(DE, "a a")
         verdict, trace = simplify(p)
-        text = describe_verdict(verdict, eliminated=len(trace.steps))
+        text = describe_verdict(verdict, trace)
         assert text.startswith("verdict: unresolved (")
 
     def test_unresolved_line_ends_with_the_reason(self):
         verdict, trace = simplify(pres(Alphabet("xx", "a"), "a a"))
-        assert describe_verdict(verdict, eliminated=len(trace.steps)) == (
+        assert describe_verdict(verdict, trace) == (
             "verdict: unresolved (1 generators live, 1 relators remain;"
             " no relator with a single-occurrence generator)"
         )
 
     def test_unresolved_line_without_a_reason(self):
-        verdict = Unresolved(pres(Alphabet("xx", "a"), "a a"))
-        text = describe_verdict(verdict, eliminated=0)
+        verdict, trace = simplify(pres(Alphabet("xx", "a"), "a a"))
+        text = describe_verdict(verdict, trace._replace(reason=""))
         assert text == "verdict: unresolved (1 generators live, 1 relators remain)"
 
     def test_trace_table_has_witness_column(self):
@@ -1038,7 +1065,8 @@ class TestWhichValuesAreTuples:
     def test_trivial_is_not_free_of_rank_zero(self):
         assert Trivial() != FreeOfRank(0, ())
 
-    def test_unresolved_equality_ignores_the_reason(self):
+    def test_unresolved_equality_is_by_the_remaining_presentation(self):
         p = pres(ABC, "a a")
-        assert Unresolved(p, "round limit reached") == Unresolved(p, "")
-        assert Unresolved(p, "") != (p, "")
+        assert Unresolved(p) == Unresolved(pres(ABC, "a a"))
+        assert Unresolved(p) != Unresolved(pres(ABC, "b b"))
+        assert Unresolved(p) != (p,)

@@ -49,7 +49,7 @@ def make(name: str):
         "Presentation": small_presentation,
         "Trivial": Trivial,
         "FreeOfRank": lambda: FreeOfRank(2, (XY[0], XY[1])),
-        "Unresolved": lambda: Unresolved(small_presentation(), "round limit reached"),
+        "Unresolved": lambda: Unresolved(small_presentation()),
         "LanguageDataset": lambda: parse_dataset(SMALL),
         "SyllableDecomposition": lambda: SyllableDecomposition("ㄷ", "ㅏ", ["ㄹ", "ㄱ"]),
     }[name]()
@@ -59,7 +59,7 @@ FIELDS = {
     "Presentation": ("alphabet", "relators", "origins", "live"),
     "Trivial": (),
     "FreeOfRank": ("rank", "basis"),
-    "Unresolved": ("remaining", "reason"),
+    "Unresolved": ("remaining",),
     "LanguageDataset": ("language", "glyphs", "records"),
     "SyllableDecomposition": ("lead", "vowel", "tail"),
 }
@@ -77,7 +77,7 @@ REPRS = {
     "Presentation": PRESENTATION,
     "Trivial": "Trivial()",
     "FreeOfRank": f"FreeOfRank(rank=2, basis=({GEN_A}, {GEN_B}))",
-    "Unresolved": f"Unresolved(remaining={PRESENTATION}, reason='round limit reached')",
+    "Unresolved": f"Unresolved(remaining={PRESENTATION})",
     "LanguageDataset": (
         "LanguageDataset(language='x', glyphs=('a', 'b'),"
         " records=(Provenance(kind='raw', lhs='a', rhs='b', gloss='g', ref='r'),))"
@@ -95,8 +95,8 @@ def positional(value) -> tuple:
             return ()
         case FreeOfRank(rank, basis):
             return rank, basis
-        case Unresolved(remaining, reason):
-            return remaining, reason
+        case Unresolved(remaining):
+            return (remaining,)
         case LanguageDataset(language, glyphs, records):
             return language, glyphs, records
         case SyllableDecomposition(lead, vowel, tail):
@@ -135,8 +135,11 @@ class TestValueContracts:
         assert type(value).__match_args__ == FIELDS[name]
         assert positional(value) == tuple(getattr(value, f) for f in FIELDS[name])
 
+    @pytest.mark.parametrize("name", ["Trivial", "FreeOfRank", "Unresolved"])
+    def test_a_verdict_compares_by_all_of_its_fields(self, name):
+        assert type(make(name))._compared == FIELDS[name]
+
     def test_the_constructors_keep_their_defaults(self):
-        assert Unresolved(small_presentation()).reason == ""
         assert SyllableDecomposition("ㄱ", "ㅏ").tail == ()
 
     @pytest.mark.parametrize("name", NAMES)
@@ -145,7 +148,7 @@ class TestValueContracts:
             "Presentation": lambda: Presentation(XY),
             "Trivial": lambda: Trivial(1),
             "FreeOfRank": lambda: FreeOfRank(1, (), 2),
-            "Unresolved": lambda: Unresolved(),
+            "Unresolved": lambda: Unresolved(small_presentation(), "round limit reached"),
             "LanguageDataset": lambda: LanguageDataset("de"),
             "SyllableDecomposition": lambda: SyllableDecomposition("ㄱ"),
         }[name]
@@ -160,7 +163,7 @@ def built_from(seq, live) -> list:
     record = Provenance("raw", "a", "b", "g", "r")
     return [
         p,
-        Unresolved(p, "round limit reached"),
+        Unresolved(p),
         FreeOfRank(2, seq([XY[0], XY[1]])),
         LanguageDataset("x", seq(["a", "b"]), seq([record])),
         SyllableDecomposition("ㄷ", "ㅏ", seq(["ㄹ", "ㄱ"])),
@@ -265,7 +268,6 @@ class TestCopyAndPickle:
         copied = COPIERS[copier](value)
         assert type(copied) is type(value)
         assert copied == value
-        assert getattr(copied, "reason", None) == getattr(value, "reason", None)
 
     def test_a_copied_word_counts_again(self):
         word = a_word()

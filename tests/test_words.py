@@ -55,8 +55,8 @@ def w(alphabet, text):
 class TestAlphabet:
     def test_ids_follow_position(self):
         assert [g.id for g in DE] == list(range(30))
-        assert DE.generator("a").id == 0
-        assert DE.generator("ß").id == 29
+        assert DE.letter("a").gen.id == 0
+        assert DE.letter("ß").gen.id == 29
 
     def test_duplicate_glyph_rejected(self):
         with pytest.raises(AlphabetError):
@@ -64,11 +64,11 @@ class TestAlphabet:
 
     def test_unknown_glyph(self):
         with pytest.raises(UnknownGlyphError):
-            DE.generator("q̈")
+            DE.letter("q̈")
 
     def test_nfc_normalization_unifies_spellings(self):
         decomposed = "ä"  # a + combining diaeresis
-        assert DE.generator(decomposed) == DE.generator("ä")
+        assert DE.letter(decomposed).gen == DE.letter("ä").gen
         assert split_graphemes("wa" + decomposed) == ["w", "a", "ä"]
 
     def test_parse_word_reads_a_decomposed_letter_as_the_nfc_generator(self):
@@ -86,20 +86,20 @@ class TestAlphabet:
         assert [hash(g) for g in first] == [hash(g) for g in second]
 
     def test_generators_of_another_language_differ(self):
-        assert Alphabet("de", "abc").generator("a") != Alphabet("tr", "abc").generator("a")
+        assert Alphabet("de", "abc").letter("a").gen != Alphabet("tr", "abc").letter("a").gen
 
     def test_generators_sort_by_id(self):
         assert sorted(reversed(DE.generators)) == list(DE.generators)
 
     def test_generator_is_a_plain_tuple(self):
         assert Generator(0, "a", "de") == (0, "a", "de")
-        assert DE.generator("a") == Generator(0, "a", "de")
-        assert repr(DE.generator("b")) == "Generator(id=1, glyph='b', language='de')"
+        assert DE.letter("a").gen == Generator(0, "a", "de")
+        assert repr(DE.letter("b").gen) == "Generator(id=1, glyph='b', language='de')"
 
 
 class TestFreeReduce:
     def test_inverse_pair_cancels(self):
-        a = DE.generator("a")
+        a = DE.letter("a").gen
         raw = [SignedLetter(a, 1), SignedLetter(a, -1)]
         assert free_reduce(raw) == EMPTY_WORD
 
@@ -115,30 +115,47 @@ class TestFreeReduce:
         assert free_reduce(word.letters) == word
 
     def test_mixed_alphabets_rejected(self):
-        raw = [SignedLetter(DE.generator("a"), 1), SignedLetter(TR.generator("a"), 1)]
+        raw = [SignedLetter(DE.letter("a").gen, 1), SignedLetter(TR.letter("a").gen, 1)]
         with pytest.raises(AlphabetMismatchError):
             free_reduce(raw)
 
     def test_construction_reduces(self):
-        a, b = DE.generator("a"), DE.generator("b")
+        a, b = DE.letter("a").gen, DE.letter("b").gen
         raw = (SignedLetter(a, 1), SignedLetter(a, -1), SignedLetter(b, 1))
         assert Word(raw) == Word((SignedLetter(b, 1),))
 
     @pytest.mark.parametrize("sign", [0, 2, -2])
     def test_bad_sign_rejected(self, sign):
         with pytest.raises(ValueError, match="bad sign"):
-            Word((SignedLetter(DE.generator("a"), sign),))
+            Word((SignedLetter(DE.letter("a").gen, sign),))
 
     @pytest.mark.parametrize("sign", [1.0, True, -1.0], ids=["float", "bool", "negative-float"])
     def test_sign_that_is_not_an_int_rejected(self, sign):
-        a = DE.generator("a")
+        a = DE.letter("a").gen
         with pytest.raises(ValueError, match="bad sign .* at position 1"):
             Word((SignedLetter(a, 1), SignedLetter(a, sign)))
         with pytest.raises(ValueError, match="bad sign"):
             free_reduce([SignedLetter(a, sign)])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (DE.letter("b").gen, 1),
+            SignedLetter(("b", 1), 1),
+            SignedLetter(Generator(1, "b", "de")._asdict(), 1),
+            "b",
+        ],
+        ids=["plain-tuple", "tuple-gen", "dict-gen", "str"],
+    )
+    def test_a_letter_that_is_not_a_signed_generator_rejected(self, bad):
+        a = DE.letter("a")
+        with pytest.raises(ValueError, match="bad letter .* at position 1"):
+            Word((a, bad))
+        with pytest.raises(ValueError, match="bad letter .* at position 0"):
+            Word((bad, a))
+
     def test_construction_rejects_mixed_alphabets(self):
-        raw = (SignedLetter(DE.generator("a"), 1), SignedLetter(TR.generator("a"), 1))
+        raw = (SignedLetter(DE.letter("a").gen, 1), SignedLetter(TR.letter("a").gen, 1))
         with pytest.raises(AlphabetMismatchError):
             Word(raw)
 
@@ -206,30 +223,30 @@ class TestCyclicReduce:
 class TestSubstitute:
     def test_trivializing_one_generator(self):
         word = w(DE, "j ä c ä^-1 y^-1")
-        result = substitute(word, DE.generator("c"), EMPTY_WORD)
+        result = substitute(word, DE.letter("c").gen, EMPTY_WORD)
         assert result == w(DE, "j y^-1")
 
     def test_no_occurrence_is_identity(self):
         word = w(DE, "a b")
-        assert substitute(word, DE.generator("c"), w(DE, "w")) == word
+        assert substitute(word, DE.letter("c").gen, w(DE, "w")) == word
 
     def test_no_occurrence_returns_the_word_itself(self):
         word = w(DE, "a b^-1 a")
-        assert substitute(word, DE.generator("c"), w(DE, "w")) is word
+        assert substitute(word, DE.letter("c").gen, w(DE, "w")) is word
 
     def test_self_reference_checked_before_occurrence(self):
         with pytest.raises(SelfReferenceError):
-            substitute(w(DE, "a"), DE.generator("g"), w(DE, "a g"))
+            substitute(w(DE, "a"), DE.letter("g").gen, w(DE, "a g"))
 
     def test_replacing_whole_word(self):
-        assert substitute(w(DE, "g"), DE.generator("g"), w(DE, "h k")) == w(DE, "h k")
+        assert substitute(w(DE, "g"), DE.letter("g").gen, w(DE, "h k")) == w(DE, "h k")
 
     def test_self_reference_rejected(self):
         with pytest.raises(SelfReferenceError):
-            substitute(w(DE, "g"), DE.generator("g"), w(DE, "a g"))
+            substitute(w(DE, "g"), DE.letter("g").gen, w(DE, "a g"))
 
     def test_inverse_occurrences_get_inverted_replacement(self):
-        result = substitute(w(DE, "g^-1"), DE.generator("g"), w(DE, "h k"))
+        result = substitute(w(DE, "g^-1"), DE.letter("g").gen, w(DE, "h k"))
         assert result == w(DE, "k^-1 h^-1")
 
 
@@ -238,7 +255,7 @@ class TestReducedWhereMade:
 
     def test_substitute_rejects_a_replacement_from_another_alphabet(self):
         with pytest.raises(AlphabetMismatchError, match="mixed alphabets: 'de' and 'tr'"):
-            substitute(w(DE, "a g b"), DE.generator("g"), w(TR, "a"))
+            substitute(w(DE, "a g b"), DE.letter("g").gen, w(TR, "a"))
 
     @pytest.mark.parametrize(
         "u, v, message",
@@ -254,7 +271,7 @@ class TestReducedWhereMade:
 
     def test_a_replacement_that_cancels_away_lets_its_neighbours_cancel(self):
         # b := a^-1 c a turns a b a^-1 into a a^-1 c a a^-1, which reduces to c.
-        result = substitute(w(ABC, "a b a^-1"), ABC.generator("b"), w(ABC, "a^-1 c a"))
+        result = substitute(w(ABC, "a b a^-1"), ABC.letter("b").gen, w(ABC, "a^-1 c a"))
         assert result == w(ABC, "c")
         assert_reduced(result)
 
@@ -279,9 +296,9 @@ class TestReducedWhereMade:
 class TestOccurrences:
     def test_counts_ignore_sign(self):
         word = w(DE, "w a w^-1")
-        assert word.counts[DE.generator("w")] == 2
-        assert word.counts[DE.generator("a")] == 1
-        assert EMPTY_WORD.counts[DE.generator("a")] == 0
+        assert word.counts[DE.letter("w").gen] == 2
+        assert word.counts[DE.letter("a").gen] == 1
+        assert EMPTY_WORD.counts[DE.letter("a").gen] == 0
 
 
 class TestDisplay:
@@ -527,7 +544,7 @@ class TestWordIsItsLetters:
         with pytest.raises(AttributeError):
             delattr(word, name)
         assert getattr(word, name, None) == before
-        assert word.counts[DE.generator("a")] == 1
+        assert word.counts[DE.letter("a").gen] == 1
 
 
 FACTS = ("counts", "cyclic_key", "inverse")

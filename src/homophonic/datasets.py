@@ -14,7 +14,8 @@ Record lines carry five tab-separated fields:
     ref     free text provenance tag
 
 Word records hold words in the language's script; for Korean that means
-precomposed syllables, which are flattened to jamo on ingestion.  Raw
+precomposed syllables, which flatten straight to the alphabet's letters on
+ingestion, through jamo-to-letter tables built once per dataset.  Raw
 records hold "+"-separated generator glyphs on each side.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from . import hangul
 from .presentation import Presentation, Provenance, Relation
-from .words import Alphabet, AlphabetError, Value, Word, fact
+from .words import Alphabet, AlphabetError, Value, Word, _reduced, fact
 
 KOREAN_LANGUAGE_TAG = "ko"
 RECORD_FIELDS = 5
@@ -69,10 +70,11 @@ class LanguageDataset(Value):
     def _relations(self) -> tuple[Relation, ...]:
         """One relation per record, built once; raises naming the first bad record."""
         alphabet, relations = self.alphabet(), []
+        tables = _letter_tables(alphabet) if self.language == KOREAN_LANGUAGE_TAG else None
         for index, r in enumerate(self.records):
             try:
-                lhs = _side_word(alphabet, self.language, r.kind, r.lhs)
-                rhs = _side_word(alphabet, self.language, r.kind, r.rhs)
+                lhs = _side_word(alphabet, tables, r.kind, r.lhs)
+                rhs = _side_word(alphabet, tables, r.kind, r.rhs)
             except ValueError as exc:
                 error = DatasetError(f"record ({r.lhs!r} = {r.rhs!r}): {exc}")
                 error.record = index
@@ -133,16 +135,25 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
     return dataset
 
 
-def _side_word(alphabet: Alphabet, language: str, kind: str, side: str) -> Word:
+def _letter_tables(alphabet: Alphabet) -> tuple:
+    """``hangul.JAMO_TABLES`` with each jamo read as its letter of ``alphabet``, or None."""
+    leads, vowels, tails = hangul.JAMO_TABLES
+    get = alphabet._letters.get
+    return tuple(map(get, leads)), tuple(map(get, vowels)), tuple(tuple(map(get, t)) for t in tails)
+
+
+def _side_word(alphabet: Alphabet, tables: tuple | None, kind: str, side: str) -> Word:
+    """``tables`` are a Korean dataset's ``_letter_tables``, and None for other languages."""
     if kind == "raw":
-        glyphs = side.split("+") if side else []
-    elif kind != "word":
+        return alphabet.positive_word(side.split("+") if side else [])
+    if kind != "word":
         raise ValueError(f"unknown record kind {kind!r}")
-    elif language == KOREAN_LANGUAGE_TAG:
-        glyphs = hangul.decompose_text(side)
-    else:
+    if tables is None:
         return alphabet.word(side)
-    return alphabet.positive_word(glyphs)
+    letters = hangul.decompose_text(side, tables)
+    if not all(letters):  # a jamo the alphabet lacks: the glyph path raises naming it
+        return alphabet.positive_word(hangul.decompose_text(side))
+    return _reduced(letters)
 
 
 def load_dataset(path: str | Path) -> LanguageDataset:

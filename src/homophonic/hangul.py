@@ -5,7 +5,8 @@ consonant, a vowel, and an optional tail.  Compound vowels stay atomic
 single characters, while the eleven compound tail clusters split into two
 plain consonants, so every syllable flattens to one of the shapes c+v,
 c+v+c, or c+v+c+c.  That flattening is uniquely parseable, which is what
-``parse_jamo`` implements.
+``parse_jamo`` implements.  ``decompose_text`` reads lead, vowel and tail through
+index tables: ``JAMO_TABLES`` give jamo, and tables of an alphabet's letters give letters.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ VOWEL_SET = frozenset(VOWELS)
 # The flattened jamo of each tail index, and each flattened tail's index.
 _TAIL_JAMO = ((),) + tuple(TAIL_SPLIT.get(tail, (tail,)) for tail in TAILS[1:])
 _TAIL_INDEX = {jamo: i for i, jamo in enumerate(_TAIL_JAMO)}
+# What each lead, vowel and tail index of the syllable arithmetic stands for.
+JAMO_TABLES = (LEADS, VOWELS, _TAIL_JAMO)
 
 
 class NotASyllableError(ValueError):
@@ -90,13 +93,15 @@ class SyllableDecomposition(Value):
         return (self.lead, self.vowel) + self.tail
 
 
-def _jamo(syllable: str, position: int | None = None) -> tuple[str, ...]:
-    """Lead, vowel and tail of a syllable by the arithmetic of Unicode §3.12."""
+def _jamo(syllable: str, position: int | None = None, tables: tuple = JAMO_TABLES) -> tuple:
+    """Lead, vowel and tail of a syllable by the arithmetic of Unicode §3.12, each read
+    from ``tables``: what every lead index, vowel index and tail index stands for."""
     index = ord(syllable) - SYLLABLE_BASE
     if not 0 <= index < SYLLABLE_COUNT:
         raise NotASyllableError(syllable, position)
-    head = LEADS[index // (VOWEL_COUNT * TAIL_COUNT)], VOWELS[index // TAIL_COUNT % VOWEL_COUNT]
-    return head + _TAIL_JAMO[index % TAIL_COUNT]
+    leads, vowels, tails = tables
+    head = leads[index // (VOWEL_COUNT * TAIL_COUNT)], vowels[index // TAIL_COUNT % VOWEL_COUNT]
+    return head + tails[index % TAIL_COUNT]
 
 
 def decompose_syllable(syllable: str) -> SyllableDecomposition:
@@ -117,11 +122,12 @@ def compose_syllable(d: SyllableDecomposition) -> str:
     return chr(code)
 
 
-def decompose_text(text: str) -> list[str]:
-    """Flatten syllable text to jamo; every character must be a syllable."""
-    out: list[str] = []
+def decompose_text(text: str, tables: tuple = JAMO_TABLES) -> list:
+    """Flatten syllable text to jamo, or to what ``tables`` indexed as ``JAMO_TABLES`` hold
+    in their place, such as letters, in one pass; every character must be a syllable."""
+    out: list = []
     for i, ch in enumerate(text):
-        out += _jamo(ch, i)
+        out += _jamo(ch, i, tables)
     return out
 
 

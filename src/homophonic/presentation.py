@@ -20,8 +20,9 @@ from .words import (
     Generator,
     Value,
     Word,
+    _inverted,
     _reduced,
-    concat,
+    _same_alphabet,
     cyclic_reduce,
     display,
     substitute,
@@ -70,15 +71,19 @@ def relator_from_relation(rel: Relation) -> Word:
 
     The sides' common suffix cancels and their common prefix conjugates, so only
     what lies between is inverted.  The result may be empty when the relation is vacuous.
+    The two middles then differ at both ends, so their join cancels neither at the seam nor,
+    when both are nonempty, cyclically: no reduction walk runs.
     """
     u, v = rel.lhs, rel.rhs
+    _same_alphabet(u, v)
     n, i, j = min(len(u), len(v)), 0, 0
     while j < n and u[-1 - j] == v[-1 - j]:
         j += 1
     while i < n - j and u[i] == v[i]:
         i += 1
-    rest = concat(_reduced(u[i : len(u) - j]), _reduced(v[i : len(v) - j]).inverse)
-    return cyclic_reduce(rest)[0]
+    left, right = u[i : len(u) - j], v[i : len(v) - j]
+    rest = _reduced(left + _inverted(right))
+    return rest if left and right else cyclic_reduce(rest)[0]
 
 
 class Presentation(Value):

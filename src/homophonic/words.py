@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -124,24 +125,31 @@ def split_graphemes(text: str) -> list[str]:
     return clusters
 
 
+@lru_cache(maxsize=32)  # (language, glyphs) pairs whose generators and letters are kept
+def _generators(language: str, glyphs: tuple[str, ...]) -> tuple[tuple[Generator, ...],
+                                                                 frozenset[Generator], dict]:
+    """The checked generators of ``glyphs``, their set, and each NFC glyph's positive letter."""
+    gens: list[Generator] = []
+    seen: set[str] = set()
+    for index, glyph in enumerate(glyphs):
+        glyph = unicodedata.normalize("NFC", glyph)
+        if len(split_graphemes(glyph)) != 1:
+            raise AlphabetError(f"glyph {glyph!r} is not a single grapheme cluster", index)
+        if glyph in seen:
+            raise AlphabetError(f"duplicate glyph {glyph!r}", index)
+        seen.add(glyph)
+        gens.append(Generator(index, glyph, language))
+    return tuple(gens), frozenset(gens), {g.glyph: SignedLetter(g, 1) for g in gens}
+
+
 class Alphabet:
-    """Ordered collection of unique glyphs acting as free-group generators."""
+    """Ordered collection of unique glyphs acting as free-group generators.  Alphabets of
+    one language and glyphs share their generators and letters, which are never written,
+    so a dataset parsed again, as by a round trip, allocates none of them again."""
 
     def __init__(self, language: str, glyphs: Iterable[str]):
         self.language = language
-        gens: list[Generator] = []
-        seen: set[str] = set()
-        for index, glyph in enumerate(glyphs):
-            glyph = unicodedata.normalize("NFC", glyph)
-            if len(split_graphemes(glyph)) != 1:
-                raise AlphabetError(f"glyph {glyph!r} is not a single grapheme cluster", index)
-            if glyph in seen:
-                raise AlphabetError(f"duplicate glyph {glyph!r}", index)
-            seen.add(glyph)
-            gens.append(Generator(index, glyph, language))
-        self.generators: tuple[Generator, ...] = tuple(gens)
-        self.generator_set: frozenset[Generator] = frozenset(gens)
-        self._letters = {g.glyph: SignedLetter(g, 1) for g in self.generators}
+        self.generators, self.generator_set, self._letters = _generators(language, tuple(glyphs))
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -228,7 +236,7 @@ class Word(tuple):
     @fact
     def inverse(self) -> "Word":
         """The inverse word; reversing a freely reduced word keeps it reduced."""
-        return _reduced([tuple.__new__(SignedLetter, (gen, -sign)) for gen, sign in reversed(self)])
+        return _reduced(_inverted(self))
 
     def __repr__(self) -> str:
         return f"Word({display(self)})"
@@ -240,6 +248,11 @@ EMPTY_WORD = Word()
 def _reduced(letters: Iterable[SignedLetter]) -> Word:
     """A Word of letters already freely reduced over one alphabet, not walked again."""
     return tuple.__new__(Word, letters)
+
+
+def _inverted(letters: tuple[SignedLetter, ...]) -> tuple[SignedLetter, ...]:
+    """The inverse of reduced letters: reversed, each sign flipped, and still reduced."""
+    return tuple([tuple.__new__(SignedLetter, (gen, -sign)) for gen, sign in reversed(letters)])
 
 
 def free_reduce(raw: Iterable[SignedLetter]) -> Word:

@@ -13,6 +13,7 @@ by step, on its own list of relators.
 from __future__ import annotations
 
 import random
+import unicodedata
 from itertools import combinations
 from math import gcd
 
@@ -339,3 +340,14 @@ def all_jamo_segmentations(chars: list[str]) -> list[list[tuple[str, ...]]]:
 
     recurse(0)
     return results
+
+
+def jamo_oracle(text: str) -> list[str]:
+    """Flatten syllables by their Unicode names, not by the syllable arithmetic: NFD gives
+    conjoining jamo, and a tail cluster such as JONGSEONG RIEUL-KIYEOK names its two letters."""
+    out: list[str] = []
+    for c in unicodedata.normalize("NFD", text):
+        kind, _, name = unicodedata.name(c).removeprefix("HANGUL ").partition(" ")
+        parts = name.split("-") if kind == "JONGSEONG" else [name]
+        out += [unicodedata.lookup("HANGUL LETTER " + part) for part in parts]
+    return out

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,15 @@ from homophonic.datasets import (
     serialize_dataset,
     to_presentation,
 )
-from homophonic.hangul import compose_syllable, decompose_text, parse_jamo
+from homophonic.hangul import (
+    SYLLABLE_BASE,
+    SYLLABLE_COUNT,
+    compose_syllable,
+    decompose_text,
+    parse_jamo,
+)
 from homophonic.presentation import Provenance, relator_from_relation
-from homophonic.words import Alphabet
+from homophonic.words import Alphabet, UnknownGlyphError, Word
 
 GERMAN_ROW = "word\twaage\twage\tscales/(I) dare\tvowel-length"
 
@@ -147,6 +155,14 @@ class TestParsing:
         assert err.value.line == 5
         assert str(err.value) == message
 
+    def test_non_syllable_in_a_korean_word_keeps_its_line_and_message(self):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset("@language ko\n@alphabet ㄱ ㅅ ㅜ\nword\t수a\t수\tg\tr\n", "f.hq")
+        assert err.value.line == 3
+        assert str(err.value) == (
+            "f.hq:3: record ('수a' = '수'): 'a' at position 1 is not a precomposed Hangul syllable"
+        )
+
     def test_unknown_kind_rejected(self):
         text = "@language xx\n@alphabet a\noops\ta\ta\tg\tr\n"
         with pytest.raises(DatasetError):
@@ -240,6 +256,64 @@ class TestParsing:
             parse_dataset("@language de\n@alphabetical a b\n")
         assert err.value.line == 2
         assert "'@alphabetical'" in str(err.value)
+
+
+class TestKoreanLetters:
+    """Korean word sides flatten straight to letters, through tables built once per dataset;
+    the glyph path, ``alphabet.positive_word(decompose_text(side))``, is the oracle."""
+
+    HEADER = "@language ko\n@alphabet " + " ".join(builtin_dataset("korean").glyphs) + "\n"
+
+    def test_every_syllable_gives_the_letters_of_the_glyph_path(self):
+        alphabet = builtin_dataset("korean").alphabet()
+        syllables = [chr(SYLLABLE_BASE + k) for k in range(SYLLABLE_COUNT)]
+        known = [s for s in syllables if "ㅒ" not in decompose_text(s)]  # the alphabet lacks ㅒ
+        assert len(known) == SYLLABLE_COUNT - 19 * 28
+        d = parse_dataset(self.HEADER + "".join(f"word\t{s}\t가\tg\tr\n" for s in known))
+        for s, relation in zip(known, d._relations, strict=True):
+            assert type(relation.lhs) is Word
+            assert relation.lhs == alphabet.positive_word(decompose_text(s)), s
+            assert_reduced(relation.lhs)
+
+    def test_every_syllable_the_alphabet_lacks_a_jamo_of_fails_as_the_glyph_path(self):
+        alphabet = builtin_dataset("korean").alphabet()
+        lacking = [chr(SYLLABLE_BASE + k) for k in range(SYLLABLE_COUNT)]
+        lacking = [s for s in lacking if "ㅒ" in decompose_text(s)]
+        assert len(lacking) == 19 * 28
+        for s in lacking:
+            with pytest.raises(UnknownGlyphError) as expected:
+                alphabet.positive_word(decompose_text("가" + s))
+            with pytest.raises(DatasetError) as err:
+                parse_dataset(self.HEADER + f"word\t가{s}\t가\tg\tr\n", source="f.hq")
+            assert str(err.value) == f"f.hq:3: record ('가{s}' = '가'): {expected.value}"
+            assert "at position 3" in str(err.value)
+
+    def test_the_letter_tables_are_built_once_per_dataset(self, monkeypatch):
+        rng = random.Random(25)
+        syllables = [chr(SYLLABLE_BASE + k) for k in range(SYLLABLE_COUNT)]
+        syllables = [s for s in syllables if "ㅒ" not in decompose_text(s)]
+
+        def word():
+            return "".join(rng.choice(syllables) for _ in range(rng.randint(1, 4)))
+
+        synthetic = self.HEADER + "".join(f"word\t{word()}\t{word()}\tg\tr\n" for _ in range(1000))
+        built, glyph_path = [], []
+        real_tables = datasets._letter_tables
+        real_positive_word, real_letter = Alphabet.positive_word, Alphabet.letter
+        monkeypatch.setattr(datasets, "_letter_tables", lambda a: built.append(a) or real_tables(a))
+        monkeypatch.setattr(Alphabet, "positive_word",
+                            lambda a, g: glyph_path.append(g) or real_positive_word(a, g))
+        monkeypatch.setattr(Alphabet, "letter",
+                            lambda a, *g: glyph_path.append(g) or real_letter(a, *g))
+        d = parse_dataset(synthetic)
+        assert len(d._relations) == 1000
+        assert len(built) == 1 and built[0] is d.alphabet() and glyph_path == []
+
+        built.clear()
+        korean = load_dataset(builtin_data_dir() / "korean.hq")
+        raw = [s.split("+") for r in korean.records if r.kind == "raw" for s in (r.lhs, r.rhs)]
+        assert len(built) == 1 and built[0] is korean.alphabet()
+        assert glyph_path == raw  # the raw records take the glyph path, and no word record does
 
 
 class TestRoundTrip:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import all_jamo_segmentations
+from helpers import all_jamo_segmentations, jamo_oracle
 from homophonic.hangul import (
     SYLLABLE_BASE,
     SYLLABLE_COUNT,
@@ -112,6 +112,17 @@ class TestDecomposeText:
         syllables = [chr(SYLLABLE_BASE + i) for i in range(SYLLABLE_COUNT)]
         expected = [j for s in syllables for j in decompose_syllable(s).jamo()]
         assert decompose_text("".join(syllables)) == expected
+
+    def test_every_syllable_flattens_as_its_unicode_name_spells(self):
+        syllables = [chr(SYLLABLE_BASE + i) for i in range(SYLLABLE_COUNT)]
+        for s in syllables:
+            assert decompose_text(s) == jamo_oracle(s), s
+        assert decompose_text("".join(syllables)) == jamo_oracle("".join(syllables))
+
+    def test_other_tables_read_the_same_indices(self):
+        # Each lead and vowel stands for its index, and each tail for up to two copies of its.
+        tables = tuple(range(19)), tuple(range(21)), tuple((t,) * min(t, 2) for t in range(28))
+        assert decompose_text("가각갃낢", tables) == [0, 0, 0, 0, 1, 0, 0, 3, 3, 2, 0, 10, 10]
 
     def test_length_is_sum_of_two_plus_tail(self):
         text = "넓다안일밖"

@@ -85,6 +85,13 @@ class TestRelatorFromRelation:
         rel = Relation(w(DE, "a b c"), w(DE, "a b c"))
         assert relator_from_relation(rel) == EMPTY_WORD
 
+    @pytest.mark.parametrize("lhs, rhs", [("a", "b"), ("ab", "a")])
+    def test_sides_of_two_languages_rejected(self, lhs, rhs):
+        u, v = Alphabet("de", "ab").word(lhs), Alphabet("tr", "ab").word(rhs)
+        for rel in (Relation(u, v), Relation(v, u)):
+            with pytest.raises(AlphabetMismatchError):
+                relator_from_relation(rel)
+
     @given(st.integers(0, 2**32 - 1))
     def test_relator_is_the_oracle_core_of_lhs_times_rhs_inverse(self, seed):
         # Three letters make the sides cancel against each other often.

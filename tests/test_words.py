@@ -85,6 +85,19 @@ class TestAlphabet:
         assert first.generators == second.generators
         assert [hash(g) for g in first] == [hash(g) for g in second]
 
+    def test_equal_alphabets_share_their_generators_and_letters(self):
+        first, second = Alphabet("de", "abc"), Alphabet("de", ["a", "b", "c"])
+        assert first is not second
+        assert first.generators is second.generators and first._letters is second._letters
+        assert first.letter("a") is second.letter("a")
+        assert Alphabet("tr", "abc").generators is not first.generators
+
+    def test_a_failing_alphabet_fails_again(self):
+        for _ in range(2):
+            with pytest.raises(AlphabetError, match="duplicate glyph 'a'") as err:
+                Alphabet("xx", "aba")
+            assert err.value.index == 2
+
     def test_generators_of_another_language_differ(self):
         assert Alphabet("de", "abc").letter("a").gen != Alphabet("tr", "abc").letter("a").gen
 

@@ -16,7 +16,8 @@ Record lines carry five tab-separated fields:
 Word records hold words in the language's script; for Korean that means
 precomposed syllables, which flatten straight to the alphabet's letters on
 ingestion, through jamo-to-letter tables built once per dataset.  Raw
-records hold "+"-separated generator glyphs on each side.
+records hold "+"-separated generator glyphs on each side.  A ``LanguageDataset``
+checks its alphabet and every record when it is built, so one that exists is valid.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ RECORD_FIELDS = 5
 
 
 class DatasetError(ValueError):
-    record: int | None = None  # the bad record's index, when a dataset's relations fail
-    glyph: int | None = None  # the bad glyph's index, when a dataset's alphabet fails
+    """A bad dataset; ``record`` or ``glyph`` is the index a ``LanguageDataset`` refused."""
 
-    def __init__(self, message: str, line: int | None = None, source: str | None = None):
-        self.line = line
-        self.source = source
+    def __init__(self, message: str, line: int | None = None, source: str | None = None,
+                 record: int | None = None, glyph: int | None = None):
+        self.line, self.source, self.record, self.glyph = line, source, record, glyph
         prefix = ""
         if source is not None:
             prefix = source if line is None else f"{source}:{line}"
@@ -46,13 +46,14 @@ class DatasetError(ValueError):
 
 
 class LanguageDataset(Value):
-    """Builds its alphabet and relations once, on first use; each relation's provenance
-    is its record itself, so presentations and traces hold the dataset's own records."""
+    """Builds its alphabet and relations when built, raising ``DatasetError`` on a bad glyph or
+    record; each relation's provenance is its record, which presentations and traces hold."""
 
-    __match_args__ = _compared = ("language", "glyphs", "records")  # __dict__ holds the caches
+    __match_args__ = _compared = ("language", "glyphs", "records")
 
     def __init__(self, language: str, glyphs: tuple[str, ...], records: tuple[Provenance, ...]):
         super().__init__(language, tuple(glyphs), tuple(records))
+        self._relations  # built here, with the alphabet, which checks both
 
     def alphabet(self) -> Alphabet:
         return self._alphabet
@@ -62,13 +63,11 @@ class LanguageDataset(Value):
         try:
             return Alphabet(self.language, self.glyphs)
         except AlphabetError as exc:
-            error = DatasetError(str(exc))
-            error.glyph = exc.index
-            raise error from None
+            raise DatasetError(str(exc), glyph=exc.index) from None
 
     @fact
     def _relations(self) -> tuple[Relation, ...]:
-        """One relation per record, built once; raises naming the first bad record."""
+        """One relation per record; raises naming the first bad record."""
         alphabet, relations = self.alphabet(), []
         tables = _letter_tables(alphabet) if self.language == KOREAN_LANGUAGE_TAG else None
         for index, r in enumerate(self.records):
@@ -76,9 +75,7 @@ class LanguageDataset(Value):
                 lhs = _side_word(alphabet, tables, r.kind, r.lhs)
                 rhs = _side_word(alphabet, tables, r.kind, r.rhs)
             except ValueError as exc:
-                error = DatasetError(f"record ({r.lhs!r} = {r.rhs!r}): {exc}")
-                error.record = index
-                raise error from None
+                raise DatasetError(f"record ({r.lhs!r} = {r.rhs!r}): {exc}", record=index) from None
             relations.append(Relation(lhs, rhs, r))
         return tuple(relations)
 
@@ -126,13 +123,11 @@ def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:
         raise DatasetError("missing @language header", source=source)
     if not glyphs:
         raise DatasetError("missing @alphabet header", source=source)
-    dataset = LanguageDataset(language, tuple(glyphs), tuple(records))
     try:
-        dataset._relations  # built once here, with the alphabet, which validates both
+        return LanguageDataset(language, tuple(glyphs), tuple(records))
     except DatasetError as exc:
         line = record_lines[exc.record] if exc.glyph is None else glyph_lines[exc.glyph]
-        raise DatasetError(str(exc), line, source) from None
-    return dataset
+        raise DatasetError(str(exc), line, source, exc.record, exc.glyph) from None
 
 
 def _letter_tables(alphabet: Alphabet) -> tuple:
@@ -173,7 +168,7 @@ def load_dataset(path: str | Path) -> LanguageDataset:
 
 
 def serialize_dataset(dataset: LanguageDataset) -> str:
-    """The text parse_dataset reads back as ``dataset``; refuses any other dataset."""
+    """The text parse_dataset reads back as ``dataset``; refuses what the format cannot hold."""
     language = dataset.language
     if not language or language != language.strip() or any(c in language for c in "\t\n\r"):
         raise DatasetError(f"language tag {language!r} does not fit its header line")
@@ -188,7 +183,6 @@ def serialize_dataset(dataset: LanguageDataset) -> str:
         if line.count("\t") != RECORD_FIELDS - 1 or "\n" in line or "\r" in line:
             raise DatasetError(f"record ({r.lhs!r} = {r.rhs!r}) holds a tab or a line break")
         lines.append(line)
-    dataset._relations  # a glyph or record that fails here would fail to parse back
     return "\n".join(lines) + "\n"
 
 

@@ -217,6 +217,19 @@ class TestParsing:
         assert err.value.line == line
         assert str(err.value).startswith(f"bad.hq:{line}: {message}")
 
+    @pytest.mark.parametrize(
+        "text, line, record, glyph",
+        [
+            ("@language de\n@alphabet a b\nraw\ta\tb\tg\tr\nword\tab\tac\tg\tr\n", 4, 1, None),
+            ("@language de\n@alphabet a b\n@alphabet c a\n", 3, None, 3),
+        ],
+        ids=["record", "glyph"],
+    )
+    def test_a_load_error_keeps_the_bad_index(self, text, line, record, glyph):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(text, source="bad.hq")
+        assert (err.value.line, err.value.record, err.value.glyph) == (line, record, glyph)
+
     def test_a_parse_builds_one_alphabet(self, monkeypatch):
         builds = []
 
@@ -407,10 +420,16 @@ class TestRoundTrip:
             lhs, rhs = mostly(side, with_breaks), mostly(side, with_breaks)
             gloss, ref = mostly(plain, with_breaks), mostly(plain, with_breaks)
             records.append(Provenance(kind, lhs, rhs, gloss, ref))
-        d = LanguageDataset(language, tuple(glyphs), tuple(records))
+        try:
+            d = LanguageDataset(language, tuple(glyphs), tuple(records))
+        except DatasetError as exc:  # a bad glyph or record, named by its index
+            assert (exc.record is None) != (exc.glyph is None)
+            return
+        to_presentation(d)  # a dataset that was built is valid, so this cannot raise
         try:
             text = serialize_dataset(d)
-        except ValueError:
+        except DatasetError as exc:  # only what the text format cannot hold
+            assert exc.record is None and exc.glyph is None
             return
         assert parse_dataset(text) == d
 
@@ -520,9 +539,10 @@ class TestBuiltinCorpora:
         assert to_presentation(d).alphabet is d.alphabet()
 
     def test_dataset_built_in_code_names_its_bad_record(self):
-        d = LanguageDataset("de", ("a", "b"), (Provenance("word", "ab", "ac", "g", "r"),))
-        with pytest.raises(DatasetError, match=r"record \('ab' = 'ac'\): unknown glyph 'c'"):
-            to_presentation(d)
+        records = (Provenance("word", "ab", "ac", "g", "r"),)
+        with pytest.raises(DatasetError, match=r"record \('ab' = 'ac'\): unknown glyph 'c'") as err:
+            LanguageDataset("de", ("a", "b"), records)
+        assert (err.value.record, err.value.glyph) == (0, None)
 
     @pytest.mark.parametrize(
         "entry",
@@ -536,8 +556,8 @@ class TestBuiltinCorpora:
     )
     def test_dataset_built_in_code_names_its_bad_glyph(self, entry, glyphs, index, message):
         with pytest.raises(DatasetError, match=message) as err:
-            entry(LanguageDataset("de", glyphs, ()))
-        assert err.value.glyph == index
+            entry(LanguageDataset("de", glyphs, ()))  # refused when built, before the entry runs
+        assert (err.value.glyph, err.value.record) == (index, None)
 
     def test_presentation_origins_are_the_dataset_records(self):
         d = builtin_dataset("korean")

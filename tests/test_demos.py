@@ -1,6 +1,7 @@
 """Every demo script runs to completion in a fresh interpreter and prints
 exactly its recorded output, ``golden/demos/<name>.out``; the README's
-library example and command lines run cleanly too, and its code names exist."""
+library example and command lines run cleanly too, its dataset blocks load,
+and its code names exist."""
 
 import os
 import re
@@ -71,6 +72,25 @@ def test_readme_command_runs_from_the_root(args):
     assert done.returncode == 0
     if args[0] == "decompose":
         assert done.stdout.decode("utf-8") == "ㅂ+ㅜ+ㅇ+ㅓ+ㅋ\n"
+
+
+README_DATASETS = [
+    body
+    for _, body in re.findall(r"^```(\w*)\n(.*?)^```", README, re.DOTALL | re.MULTILINE)
+    if body.startswith("@language")
+]
+
+
+def test_readme_dataset_blocks_load_and_are_bundled_lines():
+    corpus_lines = {
+        line
+        for path in homophonic.datasets.builtin_data_dir().glob("*.hq")
+        for line in path.read_text(encoding="utf-8").splitlines()
+    }
+    assert README_DATASETS
+    for block in README_DATASETS:
+        assert homophonic.to_presentation(homophonic.parse_dataset(block, "README")).relators
+        assert set(block.splitlines()) <= corpus_lines
 
 
 def test_readme_calls_name_package_attributes():

@@ -1,12 +1,13 @@
 """Finitely presented groups: relators, greedy generator elimination, traces.
 
-A presentation is simplified by repeatedly eliminating a generator that occurs exactly
-once in some relator: the relator is solved for it and the solution substituted into
-the others in one round, shared by ``eliminate`` and ``simplify``.  Only relators from outside
-are checked, by ``Presentation``: what substitution and dropping build stays valid unchecked.
-``replay`` checks a trace by applying each recorded (relator, generator) pair with ``eliminate``.
-A round rebuilds only the relators that hold the eliminated generator; the others pass
-through as the same ``Word`` objects, so their facts are not derived again.
+A presentation is simplified by repeatedly eliminating a generator that occurs exactly once in
+some relator: the relator is solved for it and the solution substituted into the others in one
+round, shared by ``eliminate`` and ``simplify``.  Only relators from outside are checked, by
+``Presentation``: what substitution and dropping build stays valid unchecked.  ``replay`` checks
+a trace by applying each recorded (relator, generator) pair with ``eliminate``.  A round rebuilds
+only the relators that hold the eliminated generator; the others pass through as the same
+``Word`` objects, so their facts are not derived again, and a solution gets no fact but the
+``inverse`` it is built with.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .words import (
     Generator,
     Value,
     Word,
+    _inverse_holding,
     _inverted,
     _reduced,
     _same_alphabet,
@@ -210,8 +212,8 @@ def normalize(p: Presentation) -> Presentation:
 def solve_for(relator: Word, g: Generator) -> Word:
     """Solution word for ``g`` from a cyclically reduced relator containing it exactly once.
 
-    The relator is rotated to start with the single occurrence of ``g``;
-    what remains, inverted as the sign demands, equals ``g``.
+    The relator is rotated to start with the single occurrence of ``g``; what remains, inverted
+    as the sign demands, equals ``g``, and an inverted solution holds it as its ``inverse``.
     """
     if relator.counts[g] != 1:
         raise NotEliminableError(
@@ -221,7 +223,7 @@ def solve_for(relator: Word, g: Generator) -> Word:
         raise NotEliminableError(f"relator {display(relator)} is not cyclically reduced")
     k = next(i for i, sl in enumerate(relator) if sl.gen == g)
     rest = _reduced(relator[k + 1 :] + relator[:k])  # reduced: relator is cyclically reduced
-    return rest.inverse if relator[k].sign > 0 else rest
+    return _inverse_holding(rest) if relator[k].sign > 0 else rest
 
 
 def eliminate(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -255,6 +256,13 @@ def _inverted(letters: tuple[SignedLetter, ...]) -> tuple[SignedLetter, ...]:
     return tuple([tuple.__new__(SignedLetter, (gen, -sign)) for gen, sign in reversed(letters)])
 
 
+def _inverse_holding(w: Word) -> Word:
+    """``w``'s inverse, built holding ``w`` as its ``inverse``; ``w`` holds no reference back."""
+    inverse = _reduced(_inverted(w))
+    inverse.__dict__["inverse"] = w  # both ways would be a cycle only the collector frees
+    return inverse
+
+
 def free_reduce(raw: Iterable[SignedLetter]) -> Word:
     """The unique freely reduced word equal to ``raw`` in the free group."""
     return Word(raw)
@@ -297,11 +305,11 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
 def substitute(w: Word, g: Generator, replacement: Word) -> Word:
     """Replace every signed ``g`` by ``replacement`` and reduce; ``w`` if ``g`` is absent."""
-    if replacement.counts[g]:
+    if g in map(itemgetter(0), replacement):  # a scan: nothing reads the replacement's counts
         raise SelfReferenceError(f"replacement for {g.glyph!r} contains itself")
+    _same_alphabet(w, replacement)
     if not w.counts[g]:
         return w
-    _same_alphabet(w, replacement)
     inverse_replacement = replacement.inverse
     out: list[SignedLetter] = []
     for sl in w:

@@ -1,15 +1,19 @@
 """Metamorphic invariance: a transformation that keeps the group up to isomorphism keeps
 the abelian invariants, and the verdict's kind and rank whenever both runs resolve.  No
-oracle is consulted; each transformed dataset is checked against its untransformed corpus."""
+oracle is consulted; each transformed dataset or presentation is checked against its
+untransformed self."""
 
 import random
 
 import pytest
 
+from helpers import inverse_oracle, random_presentation
 from homophonic import (
     FreeOfRank,
     LanguageDataset,
+    Presentation,
     Unresolved,
+    Word,
     abelian_invariants,
     builtin_dataset,
     parse_dataset,
@@ -20,11 +24,11 @@ from homophonic import (
 from homophonic.datasets import BUILTIN_LANGUAGES
 
 TRANSFORMS = 50
+RANDOM_PRESENTATIONS = 300
 
 
-def group_facts(dataset: LanguageDataset):
+def group_facts(p: Presentation):
     """The abelian invariants, and the verdict's kind and rank, or None when unresolved."""
-    p = to_presentation(dataset)
     verdict, _ = simplify(p)
     if isinstance(verdict, Unresolved):
         return abelian_invariants(p), None
@@ -48,15 +52,43 @@ def transformed(dataset: LanguageDataset, rng: random.Random, i: int) -> Languag
 @pytest.mark.parametrize("name", BUILTIN_LANGUAGES)
 def test_corpus_transforms_keep_the_group(name):
     corpus = builtin_dataset(name)
-    invariants, verdict = group_facts(corpus)
+    invariants, verdict = group_facts(to_presentation(corpus))
     rng = random.Random(f"invariance:{name}")
     resolved = 0
     for i in range(TRANSFORMS):
         t = transformed(corpus, rng, i)
         assert parse_dataset(serialize_dataset(t)) == t, i
-        t_invariants, t_verdict = group_facts(t)
+        t_invariants, t_verdict = group_facts(to_presentation(t))
         assert t_invariants == invariants, i
         if verdict is not None and t_verdict is not None:
             assert t_verdict == verdict, i
             resolved += 1
     assert resolved, "no transform resolved, so no verdict was compared"
+
+
+def rotated_and_inverted(p: Presentation, rng: random.Random) -> Presentation:
+    """One relator rotated and another inverted, by their letter lists; a lone relator is
+    both rotated and inverted."""
+    relators = [list(r) for r in p.relators]
+    if not relators:
+        return p
+    i = rng.randrange(len(relators))
+    j = (i + rng.randrange(1, len(relators))) % len(relators) if len(relators) > 1 else i
+    k = rng.randrange(len(relators[i]))
+    relators[i] = relators[i][k:] + relators[i][:k]
+    relators[j] = inverse_oracle(relators[j])
+    return Presentation(p.alphabet, tuple(map(Word, relators)), p.origins, p.live)
+
+
+def test_random_presentations_keep_the_group_when_relators_are_rotated_and_inverted():
+    resolved = 0
+    for seed in range(RANDOM_PRESENTATIONS):
+        rng = random.Random(seed)
+        p = random_presentation(rng)
+        invariants, verdict = group_facts(p)
+        t_invariants, t_verdict = group_facts(rotated_and_inverted(p, rng))
+        assert t_invariants == invariants, seed
+        if verdict is not None and t_verdict is not None:
+            assert t_verdict == verdict, seed
+            resolved += 1
+    assert resolved, "no pair resolved, so no verdict was compared"

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 
@@ -1018,6 +1019,54 @@ class TestEveryRelatorIsExactlyAWord:
         words += trace.final.relators
         for x in words:
             assert_exact_word(x)
+
+
+class TestSolutionFacts:
+    """A solution is never counted; an inverted one carries the word it was inverted from
+    as its ``inverse``, and that word holds no reference back."""
+
+    def test_an_inverted_solution_carries_the_rest_of_its_relator(self):
+        b = DE.letter("b").gen
+        solution = solve_for(w(DE, "a b c"), b)  # b = (c a)^-1
+        assert solution == w(DE, "a^-1 c^-1")
+        assert vars(solution) == {"inverse": w(DE, "c a")}
+        assert vars(solution.inverse) == {}
+        assert vars(solve_for(w(DE, "a b^-1 c"), b)) == {}  # b = c a, not inverted
+
+    def test_solutions_of_simplify_and_replay_are_not_counted(self, monkeypatch):
+        solutions = []
+        real = homophonic.presentation.solve_for
+
+        def recording(relator, g):
+            solutions.append(solution := real(relator, g))
+            return solution
+
+        monkeypatch.setattr(homophonic.presentation, "solve_for", recording)
+        randoms = [random_presentation(random.Random(seed)) for seed in range(300)]
+        steps = 0
+        for p in corpus_presentations() + randoms:
+            verdict, trace = simplify(p)
+            assert replay(trace, p) == verdict
+            steps += len(trace.steps)
+        assert len(solutions) == 2 * steps > 0
+        assert any("inverse" in vars(x) for x in solutions)
+        for solution in solutions:
+            assert "counts" not in vars(solution)
+            assert solution.inverse == Word(inverse_oracle(solution))
+            assert "inverse" not in vars(solution.inverse)
+
+    def test_simplify_and_replay_leave_no_cyclic_garbage(self):
+        presentations = corpus_presentations()
+        gc.collect()
+        gc.disable()
+        try:
+            for p in presentations:
+                verdict, trace = simplify(p)
+                assert replay(trace, p) == verdict
+            del verdict, trace
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def record_values() -> dict:

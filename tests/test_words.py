@@ -258,6 +258,16 @@ class TestSubstitute:
         with pytest.raises(SelfReferenceError):
             substitute(w(DE, "g"), DE.letter("g").gen, w(DE, "a g"))
 
+    def test_self_reference_by_an_inverse_letter_alone_is_rejected(self):
+        with pytest.raises(SelfReferenceError):
+            substitute(w(DE, "a g"), DE.letter("g").gen, w(DE, "h g^-1 k"))
+        with pytest.raises(SelfReferenceError):
+            substitute(w(DE, "g"), DE.letter("g").gen, w(DE, "g^-1"))
+
+    def test_self_reference_checked_before_alphabets(self):
+        with pytest.raises(SelfReferenceError):
+            substitute(w(TR, "b"), DE.letter("g").gen, w(DE, "g"))
+
     def test_inverse_occurrences_get_inverted_replacement(self):
         result = substitute(w(DE, "g^-1"), DE.letter("g").gen, w(DE, "h k"))
         assert result == w(DE, "k^-1 h^-1")
@@ -269,6 +279,10 @@ class TestReducedWhereMade:
     def test_substitute_rejects_a_replacement_from_another_alphabet(self):
         with pytest.raises(AlphabetMismatchError, match="mixed alphabets: 'de' and 'tr'"):
             substitute(w(DE, "a g b"), DE.letter("g").gen, w(TR, "a"))
+
+    def test_substitute_rejects_two_alphabets_where_the_generator_is_absent(self):
+        with pytest.raises(AlphabetMismatchError, match="mixed alphabets: 'tr' and 'de'"):
+            substitute(w(TR, "b c"), DE.letter("a").gen, w(DE, "b"))
 
     @pytest.mark.parametrize(
         "u, v, message",

@@ -1,18 +1,17 @@
 """Finitely presented groups: relators, greedy generator elimination, traces.
 
 A presentation is simplified by repeatedly eliminating a generator that occurs exactly once in
-some relator: the relator is solved for it and the solution substituted into the others in one
-round, shared by ``eliminate`` and ``simplify``.  Only relators from outside are checked, by
-``Presentation``: what substitution and dropping build stays valid unchecked.  ``replay`` checks
-a trace by applying each recorded (relator, generator) pair with ``eliminate``.  A round rebuilds
-only the relators that hold the eliminated generator; the others pass through as the same
-``Word`` objects, so their facts are not derived again, and a solution gets no fact but the
-``inverse`` it is built with.
-"""
+some relator: the relator is solved for it, and one pass over the relators, shared by
+``normalize``, ``eliminate`` and ``simplify``, substitutes the solution into those that hold it
+and drops the empty ones and all but the first of each up to rotation and inversion.  Only
+relators from outside are checked, by ``Presentation``: what the pass builds stays valid
+unchecked.  ``replay`` checks a trace by applying each recorded (relator, generator) pair with
+``eliminate``.  Relators without the eliminated generator pass through as the same ``Word``
+objects, so their facts are not derived again, and a solution gets no fact but the ``inverse``
+it is built with."""
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
 from .words import (
@@ -173,40 +172,31 @@ class EliminationTrace(NamedTuple):
     reason: str  # why the run stopped
 
 
-def _collect(alphabet, live, cores, origins) -> Presentation:
-    """The ``cores`` that are neither ``None`` nor empty, with their origins, unchecked."""
-    Value.__init__(p := object.__new__(Presentation), alphabet,
-                   tuple(filter(None, cores)), tuple(compress(origins, cores)), live)
+def _presentation(alphabet, relators, origins, live) -> Presentation:
+    """A ``Presentation`` of the lists, unchecked: substituting and dropping keep it valid."""
+    Value.__init__(p := object.__new__(Presentation),
+                   alphabet, tuple(relators), tuple(origins), live)
     return p
 
 
-def _slots(p: Presentation) -> tuple[list[Word | None], dict[tuple, int]]:
-    """``p``'s relators in slots, each later duplicate up to rotation and inversion
-    set to ``None``, and the ``cyclic_key`` → slot dict."""
-    where: dict[tuple, int] = {}
-    return [w if where.setdefault(w.cyclic_key, s) == s else None
-            for s, w in enumerate(p.relators)], where
-
-
-def _rebuild(slots, where, g: Generator, solution: Word) -> list[int]:
-    """Substitute ``solution`` for ``g`` in the slots that hold it, in slot order; return
-    those kept.  An empty core or one equal to an earlier relator is dropped, one equal to a
-    later relator evicts it.  Stale keys in ``where`` name eliminated generators."""
-    kept = []
-    for t in [t for t, w in enumerate(slots) if w and g in w.counts]:
-        core = cyclic_reduce(substitute(slots[t], g, solution))[0]
-        slots[t] = None
-        if not core or (other := where.get(core.cyclic_key, t)) < t:
-            continue
-        slots[other] = None
-        where[core.cyclic_key], slots[t] = t, core
-        kept.append(t)
-    return kept
+def _round(relators, origins, g=None, solution=None) -> tuple[list[Word], list[Provenance]]:
+    """One pass over the relators and their origins: each relator that holds ``g`` becomes the
+    cyclic core of ``solution`` put for ``g``, and the others pass as they are.  A relator that
+    is empty or equal to an earlier one up to rotation and inversion drops; the first stays."""
+    seen, kept, kept_origins = set(), [], []
+    for w, origin in zip(relators, origins):
+        if g in w.counts:
+            w = cyclic_reduce(substitute(w, g, solution))[0]
+        if w and (key := w.cyclic_key) not in seen:
+            seen.add(key)
+            kept.append(w)
+            kept_origins.append(origin)
+    return kept, kept_origins
 
 
 def normalize(p: Presentation) -> Presentation:
     """Drop duplicate relators up to rotation and inversion; the first of each is kept."""
-    return _collect(p.alphabet, p.live, _slots(p)[0], p.origins)
+    return _presentation(p.alphabet, *_round(p.relators, p.origins), p.live)
 
 
 def solve_for(relator: Word, g: Generator) -> Word:
@@ -231,17 +221,17 @@ def eliminate(
 ) -> tuple[Presentation, EliminationStep]:
     """Eliminate ``g`` using the relator at ``relator_index``.
 
-    The relator must contain ``g`` exactly once.  Duplicates drop as in ``normalize``, then
-    ``simplify``'s round rebuilds the relators that hold ``g``; the solved one drops out and
-    ``g`` leaves the live set.  Nothing is checked: substitution keeps checked relators valid.
+    The relator must contain ``g`` exactly once.  One pass, ``simplify``'s round, rebuilds
+    the relators that hold ``g`` and drops empty and repeated ones, as ``normalize`` does; the
+    solved one drops out and ``g`` leaves the live set.  Nothing is checked: substitution keeps
+    checked relators valid.
     """
     if not 0 <= relator_index < len(p.relators):
         raise NotEliminableError(f"no relator at index {relator_index}")
     solution = solve_for(p.relators[relator_index], g)
-    slots, where = _slots(p)
-    _rebuild(slots, where, g, solution)
     step = EliminationStep(g, solution, relator_index, p.origins[relator_index])
-    return _collect(p.alphabet, p.live - {g}, slots, p.origins), step
+    relators, origins = _round(p.relators, p.origins, g, solution)
+    return _presentation(p.alphabet, relators, origins, p.live - {g}), step
 
 
 def eliminable(p: Presentation) -> list[tuple[int, Generator]]:
@@ -271,39 +261,37 @@ def simplify(
     that has one, the lowest index on a tie, so earlier-alphabet letters survive; a ``pick``
     hook chooses instead, from the presentation and its ``eliminable`` pairs.  Hitting a
     limit yields an Unresolved verdict, not an error; ``trace.reason`` says why the run
-    stopped.  Slots start as ``normalize`` leaves ``p``, round as ``eliminate`` and end,
-    unchecked, in ``trace.final``; an index is a slot's rank.
+    stopped.  The relators start as ``normalize`` leaves ``p``, each round is ``eliminate``'s
+    pass, and they end, unchecked, in ``trace.final``.
     """
-    slots, where = _slots(p)  # None once dropped
-    singles = [[g for g, n in w.counts.items() if n == 1] if w else [] for w in slots]  # by id
+    relators, origins = _round(p.relators, p.origins)
     live, steps = p.live, []
     reason = "no relator with a single-occurrence generator"
     while True:
         if pick is None:
-            best = min(((len(w), s) for s, w in enumerate(slots) if w and singles[s]), default=None)
-            if best is None:
+            by_length = sorted(range(len(relators)), key=list(map(len, relators)).__getitem__)
+            i = next((i for i in by_length if 1 in relators[i].counts.values()), None)
+            if i is None:
                 break
-            s, g = best[1], singles[best[1]][-1]
+            g = [h for h, n in relators[i].counts.items() if n == 1][-1]  # counts run by id
         else:
-            q = _collect(p.alphabet, live, slots, p.origins)
+            q = _presentation(p.alphabet, relators, origins, live)
             if not (candidates := eliminable(q)):
                 break
             i, g = pick(q, candidates)
-            if not 0 <= i < len(q.relators):
+            if not 0 <= i < len(relators):
                 raise NotEliminableError(f"no relator at index {i}")
-            s = where[q.relators[i].cyclic_key]
         if len(steps) >= max_rounds:
             reason = "round limit reached"
             break
-        solution = solve_for(slots[s], g)
-        steps.append(EliminationStep(g, solution, s - slots[:s].count(None), p.origins[s]))
+        solution = solve_for(relators[i], g)
+        steps.append(EliminationStep(g, solution, i, origins[i]))
         live = live - {g}
-        for t in _rebuild(slots, where, g, solution):
-            singles[t] = [h for h, n in slots[t].counts.items() if n == 1]
-        if max(map(len, filter(None, slots)), default=0) > max_relator_len:
+        relators, origins = _round(relators, origins, g, solution)
+        if max(map(len, relators), default=0) > max_relator_len:
             reason = "relator length limit exceeded"
             break
-    final = _collect(p.alphabet, live, slots, p.origins)
+    final = _presentation(p.alphabet, relators, origins, live)
     return _verdict(final), EliminationTrace(tuple(steps), final, reason)
 
 

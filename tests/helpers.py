@@ -5,9 +5,9 @@ algorithms, so tests can cross-check implementations against brute force.
 ``reference_normalize`` and ``reference_eliminate`` are built from the oracles
 alone, with a first-wins dedup on ``cyclic_key_oracle``; the library values
 ``Word`` and ``Presentation`` only hold their results.  ``reference_simplify``
-is the loop ``simplify`` ran before it kept a working state: one presentation
-per round, through ``reference_eliminate``.  ``trace_oracle`` checks a trace step
-by step, on its own list of relators.
+is the elimination loop as one checked presentation per round, through
+``reference_eliminate``.  ``trace_oracle`` checks a trace step by step, on its own
+list of relators.
 """
 
 from __future__ import annotations
@@ -169,6 +169,23 @@ def random_presentation(
     return from_relators(alphabet, relators)
 
 
+def chain_presentation(rng: random.Random, n: int, length: int = 3) -> Presentation:
+    """x_i = a random reduced word of ``length`` letters over x_0 … x_{i-1}, for 2 ≤ i < n,
+    in shuffled order, as in the benchmark's chain family: free of rank 2, and its rounds
+    rebuild more relators than ``random_presentation``'s."""
+    alphabet = Alphabet("xx", "abcdefghijklmnopqrstuvwxyz"[:n])
+    relators = []
+    for i in range(2, n):
+        word: list[SignedLetter] = []
+        while len(word) < length:
+            sl = SignedLetter(alphabet[rng.randrange(i)], rng.choice((1, -1)))
+            if not word or word[-1] != sl.inverse():
+                word.append(sl)
+        relators.append(Word((SignedLetter(alphabet[i], 1), *inverse_oracle(word))))
+    rng.shuffle(relators)
+    return from_relators(alphabet, relators)
+
+
 def from_relators(alphabet: Alphabet, relators: list[Word]) -> Presentation:
     """A presentation on the whole alphabet with one relation ``core = 1`` per
     relator, where ``core`` is the relator's cyclic core."""
@@ -250,7 +267,8 @@ def trace_oracle(p: Presentation, trace: EliminationTrace, verdict) -> None:
     the step's provenance must be the origin of one such relator.  Then every relator
     becomes the oracle core of its substitution, empty ones drop and ``g`` dies.  The
     survivors and the live set must be those of ``trace.final`` and of the verdict.
-    ``relator_index`` names a slot of the deduplicated state, so it is not read.
+    ``relator_index`` indexes the deduplicated relators, and this check keeps duplicates,
+    so it is not read.
     """
     relators = [(tuple(w), origin) for w, origin in zip(p.relators, p.origins)]
     live = set(p.live)

@@ -10,6 +10,7 @@ import homophonic.presentation
 from helpers import (
     assert_exact_word,
     assert_reduced,
+    chain_presentation,
     cyclic_key_oracle,
     from_relators,
     greedy_pick,
@@ -382,13 +383,14 @@ def recording(pick, seen: list):
 
 
 class TestWorkingState:
-    """``simplify`` keeps slots, not a presentation per round; the loop that builds
-    one per round with ``eliminate`` (``reference_simplify``) is its oracle."""
+    """``simplify`` keeps two lists, relators and origins, not a presentation per round;
+    the loop that builds a checked one per round (``reference_simplify``) is its oracle."""
 
     @pytest.mark.parametrize("limits", LIMITS, ids=LIMIT_IDS)
     def test_simplify_is_the_reference_loop(self, limits):
         randoms = [random_presentation(random.Random(seed)) for seed in range(300)]
-        for p in corpus_presentations() + randoms:
+        chains = [chain_presentation(random.Random(seed), 12 + seed % 9) for seed in range(50)]
+        for p in corpus_presentations() + randoms + chains:
             assert_same_run(simplify(p, **limits), reference_simplify(p, **limits))
 
     @pytest.mark.parametrize("limits", LIMITS, ids=LIMIT_IDS)
@@ -406,7 +408,7 @@ class TestWorkingState:
             assert all(candidates == eliminable(q) for q, candidates in seen)
 
     def test_a_rebuilt_relator_evicts_a_later_duplicate(self):
-        # c = a turns c·b·c·b into a·b·a·b, which slot 2 already holds.
+        # c = a turns c·b·c·b into a·b·a·b, which relator 2 already is.
         p = pres(DE, "c a^-1", "c b c b", "a b a b")
         verdict, trace = simplify(p)
         assert trace.final.relators == (w(DE, "a b a b"),)
@@ -420,8 +422,17 @@ class TestWorkingState:
         assert trace.final.origins == (p.origins[1],)
         assert_same_run((verdict, trace), reference_simplify(p))
 
+    def test_two_rebuilt_relators_that_meet_keep_the_first(self):
+        # c = a turns both c·b·a and a·b·c into a·b·a; relator 1 keeps it, with its origin.
+        p = pres(DE, "c a^-1", "c b a", "a b c")
+        verdict, trace = simplify(p, max_rounds=1)
+        assert trace.final.relators == (w(DE, "a b a"),)
+        assert trace.final.origins == (p.origins[1],)
+        assert_same_run((verdict, trace), reference_simplify(p, max_rounds=1))
+        assert_same_run(simplify(p), reference_simplify(p))
+
     def test_relator_index_is_the_rank_among_the_survivors(self):
-        # Round 1 drops slots 0 and 2, so slot 3 is relator 1 in round 2.
+        # Round 1 drops relators 0 and 2, so relator 3 is relator 1 in round 2.
         p = pres(DE, "c a^-1", "a b a b", "c b c b", "d a b")
         verdict, trace = simplify(p)
         assert [(s.generator.glyph, s.relator_index) for s in trace.steps] == [("c", 0), ("d", 1)]
@@ -474,12 +485,13 @@ class TestWorkingState:
     def test_eliminate_is_the_reference_elimination(self):
         rng = random.Random(43)
         randoms = [random_presentation(rng, max_relators=8, max_relator_len=6) for _ in range(400)]
-        # A rebuilt relator evicts a later duplicate, repeats an earlier one, or meets
-        # a duplicate that the input already held.
+        # A rebuilt relator evicts a later duplicate, repeats an earlier one, meets
+        # a duplicate that the input already held, or meets another rebuilt relator.
         hand_built = [
             pres(DE, "c a^-1", "c b c b", "a b a b"),
             pres(DE, "c a^-1", "a b a b", "c b c b"),
             pres(DE, "c b c b", "c a^-1", "b a b a", "a b a b"),
+            pres(DE, "c a^-1", "c b a", "a b c"),
         ]
         pairs = with_duplicates = 0
         for p in hand_built + randoms:

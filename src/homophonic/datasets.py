@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import hangul
 from .presentation import Presentation, Provenance, Relation
-from .words import Alphabet, AlphabetError, Value, Word, _reduced, fact
+from .words import Alphabet, AlphabetError, Value, Word, _reduced
 
 KOREAN_LANGUAGE_TAG = "ko"
 RECORD_FIELDS = 5
@@ -53,23 +53,12 @@ class LanguageDataset(Value):
 
     def __init__(self, language: str, glyphs: tuple[str, ...], records: tuple[Provenance, ...]):
         super().__init__(language, tuple(glyphs), tuple(records))
-        self._relations  # built here, with the alphabet, which checks both
-
-    def alphabet(self) -> Alphabet:
-        return self._alphabet
-
-    @fact
-    def _alphabet(self) -> Alphabet:
         try:
-            return Alphabet(self.language, self.glyphs)
+            alphabet = Alphabet(self.language, self.glyphs)
         except AlphabetError as exc:
             raise DatasetError(str(exc), glyph=exc.index) from None
-
-    @fact
-    def _relations(self) -> tuple[Relation, ...]:
-        """One relation per record; raises naming the first bad record."""
-        alphabet, relations = self.alphabet(), []
         tables = _letter_tables(alphabet) if self.language == KOREAN_LANGUAGE_TAG else None
+        relations = []
         for index, r in enumerate(self.records):
             try:
                 lhs = _side_word(alphabet, tables, r.kind, r.lhs)
@@ -77,7 +66,10 @@ class LanguageDataset(Value):
             except ValueError as exc:
                 raise DatasetError(f"record ({r.lhs!r} = {r.rhs!r}): {exc}", record=index) from None
             relations.append(Relation(lhs, rhs, r))
-        return tuple(relations)
+        self.__dict__.update(_alphabet=alphabet, _relations=tuple(relations))
+
+    def alphabet(self) -> Alphabet:
+        return self._alphabet
 
 
 def parse_dataset(text: str, source: str = "<string>") -> LanguageDataset:

@@ -1,12 +1,12 @@
 """Finitely presented groups: relators, greedy generator elimination, traces.
 
 A presentation is simplified by repeatedly eliminating a generator that occurs exactly once in
-some relator: the relator is solved for it, and one pass over the relators, shared by
-``normalize``, ``eliminate`` and ``simplify``, substitutes the solution into those that hold it
-and drops the empty ones and all but the first of each up to rotation and inversion.  Only
-relators from outside are checked, by ``Presentation``: what the pass builds stays valid
-unchecked.  ``replay`` checks a trace by applying each recorded (relator, generator) pair with
-``eliminate``.  Relators without the eliminated generator pass through as the same ``Word``
+some relator.  That step is ``eliminate``, which ``simplify`` and ``replay`` share: the relator
+is solved for the generator, and one pass over the relators, ``normalize``'s too, substitutes
+the solution into those that hold it and drops the empty ones and all but the first of each up
+to rotation and inversion.  ``simplify`` chooses each step and ``replay`` reads it from a trace.
+Only relators from outside are checked, by ``Presentation``: what the pass builds stays valid
+unchecked.  Relators without the eliminated generator pass through as the same ``Word``
 objects, so their facts are not derived again, and a solution gets no fact but the ``inverse``
 it is built with."""
 
@@ -172,31 +172,29 @@ class EliminationTrace(NamedTuple):
     reason: str  # why the run stopped
 
 
-def _presentation(alphabet, relators, origins, live) -> Presentation:
-    """A ``Presentation`` of the lists, unchecked: substituting and dropping keep it valid."""
-    Value.__init__(p := object.__new__(Presentation),
-                   alphabet, tuple(relators), tuple(origins), live)
-    return p
-
-
-def _round(relators, origins, g=None, solution=None) -> tuple[list[Word], list[Provenance]]:
-    """One pass over the relators and their origins: each relator that holds ``g`` becomes the
-    cyclic core of ``solution`` put for ``g``, and the others pass as they are.  A relator that
-    is empty or equal to an earlier one up to rotation and inversion drops; the first stays."""
-    seen, kept, kept_origins = set(), [], []
-    for w, origin in zip(relators, origins):
+def _round(p: Presentation, g=None, solution=None) -> Presentation:
+    """The pass that ``normalize`` and ``eliminate`` make: each relator of ``p`` that holds ``g``
+    becomes the cyclic core of ``solution`` put for ``g``, and the others pass as they are.  A
+    relator that is empty or equal to an earlier one up to rotation and inversion drops; the
+    first stays.  ``g`` leaves the live set, and the result is built unchecked: substituting and
+    dropping keep it valid."""
+    seen, relators, origins = set(), [], []
+    for w, origin in zip(p.relators, p.origins):
         if g in w.counts:
             w = cyclic_reduce(substitute(w, g, solution))[0]
         if w and (key := w.cyclic_key) not in seen:
             seen.add(key)
-            kept.append(w)
-            kept_origins.append(origin)
-    return kept, kept_origins
+            relators.append(w)
+            origins.append(origin)
+    Value.__init__(q := object.__new__(Presentation),
+                   p.alphabet, tuple(relators), tuple(origins), p.live - {g})
+    return q
 
 
 def normalize(p: Presentation) -> Presentation:
-    """Drop duplicate relators up to rotation and inversion; the first of each is kept."""
-    return _presentation(p.alphabet, *_round(p.relators, p.origins), p.live)
+    """Drop duplicate relators up to rotation and inversion; the first of each is kept.  Both
+    ``simplify`` and ``replay`` start here."""
+    return _round(p)
 
 
 def solve_for(relator: Word, g: Generator) -> Word:
@@ -219,19 +217,18 @@ def solve_for(relator: Word, g: Generator) -> Word:
 def eliminate(
     p: Presentation, g: Generator, relator_index: int
 ) -> tuple[Presentation, EliminationStep]:
-    """Eliminate ``g`` using the relator at ``relator_index``.
+    """Eliminate ``g`` using the relator at ``relator_index``; every round of ``simplify`` and
+    ``replay`` is this step.
 
-    The relator must contain ``g`` exactly once.  One pass, ``simplify``'s round, rebuilds
-    the relators that hold ``g`` and drops empty and repeated ones, as ``normalize`` does; the
-    solved one drops out and ``g`` leaves the live set.  Nothing is checked: substitution keeps
-    checked relators valid.
+    The relator must contain ``g`` exactly once.  One pass rebuilds the relators that hold ``g``
+    and drops empty and repeated ones, as ``normalize`` does; the solved one drops out and ``g``
+    leaves the live set.  Nothing is checked: substitution keeps checked relators valid.
     """
     if not 0 <= relator_index < len(p.relators):
         raise NotEliminableError(f"no relator at index {relator_index}")
     solution = solve_for(p.relators[relator_index], g)
     step = EliminationStep(g, solution, relator_index, p.origins[relator_index])
-    relators, origins = _round(p.relators, p.origins, g, solution)
-    return _presentation(p.alphabet, relators, origins, p.live - {g}), step
+    return _round(p, g, solution), step
 
 
 def eliminable(p: Presentation) -> list[tuple[int, Generator]]:
@@ -261,45 +258,38 @@ def simplify(
     that has one, the lowest index on a tie, so earlier-alphabet letters survive; a ``pick``
     hook chooses instead, from the presentation and its ``eliminable`` pairs.  Hitting a
     limit yields an Unresolved verdict, not an error; ``trace.reason`` says why the run
-    stopped.  The relators start as ``normalize`` leaves ``p``, each round is ``eliminate``'s
-    pass, and they end, unchecked, in ``trace.final``.
+    stopped.  The run starts from ``normalize(p)``, each round is ``eliminate``, the step that
+    ``replay`` takes too, and the presentation it ends with, unchecked, is ``trace.final``.
     """
-    relators, origins = _round(p.relators, p.origins)
-    live, steps = p.live, []
+    q, steps = normalize(p), []
     reason = "no relator with a single-occurrence generator"
     while True:
         if pick is None:
-            by_length = sorted(range(len(relators)), key=list(map(len, relators)).__getitem__)
-            i = next((i for i in by_length if 1 in relators[i].counts.values()), None)
+            by_length = sorted(range(len(q.relators)), key=list(map(len, q.relators)).__getitem__)
+            i = next((i for i in by_length if 1 in q.relators[i].counts.values()), None)
             if i is None:
                 break
-            g = [h for h, n in relators[i].counts.items() if n == 1][-1]  # counts run by id
+            g = [h for h, n in q.relators[i].counts.items() if n == 1][-1]  # counts run by id
         else:
-            q = _presentation(p.alphabet, relators, origins, live)
             if not (candidates := eliminable(q)):
                 break
             i, g = pick(q, candidates)
-            if not 0 <= i < len(relators):
-                raise NotEliminableError(f"no relator at index {i}")
         if len(steps) >= max_rounds:
             reason = "round limit reached"
             break
-        solution = solve_for(relators[i], g)
-        steps.append(EliminationStep(g, solution, i, origins[i]))
-        live = live - {g}
-        relators, origins = _round(relators, origins, g, solution)
-        if max(map(len, relators), default=0) > max_relator_len:
+        q, step = eliminate(q, g, i)
+        steps.append(step)
+        if max(map(len, q.relators), default=0) > max_relator_len:
             reason = "relator length limit exceeded"
             break
-    final = _presentation(p.alphabet, relators, origins, live)
-    return _verdict(final), EliminationTrace(tuple(steps), final, reason)
+    return _verdict(q), EliminationTrace(tuple(steps), q, reason)
 
 
 def replay(trace: EliminationTrace, p: Presentation) -> Verdict:
-    """Apply the recorded (relator index, generator) pairs with ``eliminate``: each
-    recorded step must equal the one it makes, and ``trace.final`` the presentation
-    reached.  The TraceInvalidError names the first step that differs or that
-    ``eliminate`` refuses, else ``len(trace.steps)``."""
+    """Apply the recorded (relator index, generator) pairs from ``normalize(p)`` with
+    ``eliminate``, the step each round of ``simplify`` takes: each recorded step must equal
+    the one it makes, and ``trace.final`` the presentation reached.  The TraceInvalidError
+    names the first step that differs or that ``eliminate`` refuses, else ``len(trace.steps)``."""
     q = normalize(p)
     for i, step in enumerate(trace.steps):
         try:

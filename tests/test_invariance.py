@@ -12,6 +12,7 @@ from homophonic import (
     FreeOfRank,
     LanguageDataset,
     Presentation,
+    Provenance,
     SignedLetter,
     Unresolved,
     Word,
@@ -70,6 +71,31 @@ def test_corpus_transforms_keep_the_group(name):
             assert t_verdict == verdict, i
             resolved += 1
     assert resolved, "no transform resolved, so no verdict was compared"
+
+
+def tietze_inserted(dataset: LanguageDataset, rng: random.Random) -> LanguageDataset:
+    """A fresh glyph ★ at a random alphabet position, and the raw record ★ = w at a random
+    record position, for w a word of 1–6 random glyphs of the corpus."""
+    glyphs, records = list(dataset.glyphs), list(dataset.records)
+    glyphs.insert(rng.randint(0, len(glyphs)), "★")
+    word = "+".join(rng.choices(dataset.glyphs, k=rng.randint(1, 6)))
+    records.insert(rng.randint(0, len(records)), Provenance("raw", "★", word, "", "tietze"))
+    return LanguageDataset(dataset.language, tuple(glyphs), tuple(records))
+
+
+@pytest.mark.parametrize("name", BUILTIN_LANGUAGES)
+def test_corpus_tietze_insertions_keep_the_group(name):
+    corpus = builtin_dataset(name)
+    invariants, verdict = group_facts(to_presentation(corpus))
+    resolved = 0
+    for seed in range(TRANSFORMS):
+        t = tietze_inserted(corpus, random.Random(f"tietze:{name}:{seed}"))
+        t_invariants, t_verdict = group_facts(to_presentation(t))
+        assert t_invariants == invariants, seed
+        if verdict is not None and t_verdict is not None:
+            assert t_verdict == verdict, seed
+            resolved += 1
+    assert resolved, "no insertion resolved, so no verdict was compared"
 
 
 def rotated_and_inverted(p: Presentation, rng: random.Random) -> Presentation:

@@ -382,16 +382,46 @@ def recording(pick, seen: list):
     return hook
 
 
+def recorded_steps(monkeypatch) -> dict[str, list]:
+    """Record what each call of ``normalize`` and ``eliminate`` returns, by name."""
+    calls = {"normalize": [], "eliminate": []}
+    for name, returned in calls.items():
+
+        def recorder(*args, real=getattr(homophonic.presentation, name), returned=returned):
+            returned.append(result := real(*args))
+            return result
+
+        monkeypatch.setattr(homophonic.presentation, name, recorder)
+    return calls
+
+
+def assert_rounds_are_eliminate(calls: dict[str, list], run) -> None:
+    """The run started with one ``normalize`` and took each step with one ``eliminate``, whose
+    last presentation is ``trace.final``; the record is then cleared for the next run."""
+    _, trace = run
+    (start,), eliminated = calls["normalize"], calls["eliminate"]
+    assert [step for _, step in eliminated] == list(trace.steps)
+    assert (eliminated[-1][0] if eliminated else start) is trace.final
+    for returned in calls.values():
+        returned.clear()
+
+
 class TestWorkingState:
-    """``simplify`` keeps two lists, relators and origins, not a presentation per round;
-    the loop that builds a checked one per round (``reference_simplify``) is its oracle."""
+    """``simplify`` takes each round with ``eliminate``, from ``normalize(p)``; the loop that
+    builds a checked presentation per round (``reference_simplify``) is its oracle."""
 
     @pytest.mark.parametrize("limits", LIMITS, ids=LIMIT_IDS)
-    def test_simplify_is_the_reference_loop(self, limits):
+    def test_simplify_is_the_reference_loop(self, limits, monkeypatch):
         randoms = [random_presentation(random.Random(seed)) for seed in range(300)]
         chains = [chain_presentation(random.Random(seed), 12 + seed % 9) for seed in range(50)]
-        for p in corpus_presentations() + randoms + chains:
-            assert_same_run(simplify(p, **limits), reference_simplify(p, **limits))
+        calls = recorded_steps(monkeypatch)
+        for k, p in enumerate(corpus_presentations() + randoms + chains):
+            run = simplify(p, **limits)
+            assert_rounds_are_eliminate(calls, run)
+            assert_same_run(run, reference_simplify(p, **limits))
+            rng = random.Random(k)
+            picked = simplify(p, pick=lambda q, c: rng.choice(c), **limits)
+            assert_rounds_are_eliminate(calls, picked)
 
     @pytest.mark.parametrize("limits", LIMITS, ids=LIMIT_IDS)
     def test_a_pick_hook_sees_the_reference_presentations(self, limits):
@@ -469,6 +499,9 @@ class TestWorkingState:
         for index in (-1, 2):
             with pytest.raises(NotEliminableError, match=f"no relator at index {index}"):
                 simplify(p, pick=lambda q, candidates: (index, candidates[0][1]))
+        # ``eliminate`` refuses it, so a choice the round limit stops is never checked.
+        verdict, trace = simplify(p, max_rounds=0, pick=lambda q, candidates: (2, candidates[0][1]))
+        assert verdict == Unresolved(normalize(p)) and trace.reason == "round limit reached"
 
     def test_eliminate_gives_what_the_checking_constructor_accepts(self):
         rng = random.Random(37)

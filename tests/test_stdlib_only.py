@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library and parses as Python 3.10."""
+"""The runtime imports nothing outside the standard library, parses as Python 3.10 and keeps
+its lines to ``MAX_LINE`` characters."""
 
 import ast
 import json
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MAX_LINE = 100  # the width the sources are written to
 
 # Run without ``site`` (``python -S``): ``site`` may preload third-party
 # packages, and an import of one by ``homophonic`` would then go unseen.
@@ -46,3 +48,12 @@ def test_sources_parse_as_python_3_10():
     assert sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_source_lines_fit_the_width():
+    sources = sorted(SRC.glob("homophonic/*.py"))
+    assert sources
+    long = [f"{path.name}:{n}" for path in sources
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if len(line) > MAX_LINE]
+    assert long == []

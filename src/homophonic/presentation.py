@@ -4,7 +4,8 @@ A presentation is simplified by repeatedly eliminating a generator that occurs e
 some relator.  That step is ``eliminate``, which ``simplify`` and ``replay`` share: the relator
 is solved for the generator, and one pass over the relators, ``normalize``'s too, substitutes
 the solution into those that hold it and drops the empty ones and all but the first of each up
-to rotation and inversion.  ``simplify`` chooses each step and ``replay`` reads it from a trace.
+to rotation and inversion, reading a ``cyclic_key`` only where two relators share a length and
+generator counts.  ``simplify`` chooses each step and ``replay`` reads it from a trace.
 Only relators from outside are checked, by ``Presentation``: what the pass builds stays valid
 unchecked.  Relators without the eliminated generator pass through as the same ``Word``
 objects, so their facts are not derived again, and a solution gets no fact but the ``inverse``
@@ -176,16 +177,23 @@ def _round(p: Presentation, g=None, solution=None) -> Presentation:
     """The pass that ``normalize`` and ``eliminate`` make: each relator of ``p`` that holds ``g``
     becomes the cyclic core of ``solution`` put for ``g``, and the others pass as they are.  A
     relator that is empty or equal to an earlier one up to rotation and inversion drops; the
-    first stays.  ``g`` leaves the live set, and the result is built unchecked: substituting and
-    dropping keep it valid."""
-    seen, relators, origins = set(), [], []
+    first stays.  Such words share a ``_shape``, so a ``cyclic_key`` is read only where a kept
+    relator has the shape already, and the same ``Word`` again drops unread.  ``g`` leaves the
+    live set, and the result is built unchecked: substituting and dropping keep it valid."""
+    firsts, keys, relators, origins = {}, set(), [], []
     for w, origin in zip(p.relators, p.origins):
-        if g in w.counts:
+        if g is not None and g in w.counts:  # a normalizing pass skips the lookup
             w = cyclic_reduce(substitute(w, g, solution))[0]
-        if w and (key := w.cyclic_key) not in seen:
-            seen.add(key)
-            relators.append(w)
-            origins.append(origin)
+        if not w or (first := firsts.get(shape := w._shape)) is w:
+            continue
+        if first is None:
+            firsts[shape] = w
+        elif (key := w.cyclic_key) == first.cyclic_key or key in keys:
+            continue  # the first of the shape or a later kept relator has the key
+        else:
+            keys.add(key)
+        relators.append(w)
+        origins.append(origin)
     Value.__init__(q := object.__new__(Presentation),
                    p.alphabet, tuple(relators), tuple(origins), p.live - {g})
     return q

@@ -224,10 +224,16 @@ class Word(tuple):
         return MappingProxyType(Counter(sorted(sl.gen for sl in self)))
 
     @fact
+    def _shape(self) -> int:
+        """Hash of the length and ``counts``, which rotation and inversion keep."""
+        return hash((len(self), *self.counts.items()))
+
+    @fact
     def cyclic_key(self) -> tuple[int, ...]:
         """Least rotation of the word or of its inverse, letters as ±(id+1); equal
         exactly for words of one alphabet that are equal up to rotation and inversion.
-        Only rotations that start with the least letter are tried, so aᵏ still costs O(L²)."""
+        Only rotations that start with the least letter are tried, so aᵏ still costs O(L²);
+        an elimination round reads it only where two relators share a ``_shape``."""
         seq = [sl.sign * (sl.gen.id + 1) for sl in self]
         inv = [-x for x in reversed(seq)]
         least = min(seq + inv, default=0)  # every least rotation starts with it (Booth 1980)

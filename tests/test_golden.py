@@ -78,3 +78,29 @@ def final_presentation(name: str, bound: str, value: int) -> dict:
 )
 def test_final_presentation_matches_golden(name, bound, value):
     assert final_presentation(name, bound, value) == FINAL_PRESENTATIONS[f"{name} {bound}={value}"]
+
+
+# Runs two golden cases in one interpreter; a NUL byte ends each one's output.
+TWO_CASES = """
+import sys
+from homophonic.cli import main
+for argv in (["report", "--machine", "--ascii"], ["simplify", "korean.hq", "--machine"]):
+    main(argv)
+    sys.stdout.write("\\0")
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_output_does_not_follow_the_hash_seed(seed):
+    # An elimination round buckets relators by a ``hash``, which the seed changes.
+    done = subprocess.run(
+        [sys.executable, "-c", TWO_CASES],
+        cwd=builtin_data_dir(),
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed),
+        capture_output=True, check=True, timeout=60,
+    )
+    assert done.stderr == b""
+    assert done.stdout.split(b"\0") == [
+        (GOLDEN / f"{name}.out").read_bytes()
+        for name in ("report_machine_ascii", "simplify_korean_machine")
+    ] + [b""]

@@ -11,6 +11,7 @@ from helpers import (
     assert_exact_word,
     assert_reduced,
     chain_presentation,
+    count_oracle,
     cyclic_key_oracle,
     from_relators,
     greedy_pick,
@@ -618,6 +619,117 @@ class TestWorkingState:
         assert len(handed) == 4 and set(handed) == set(exponent_matrix(p).rows)
         assert isinstance(verdict, FreeOfRank) and invariants == (verdict.rank, ())
         assert verdict.rank == len(dataset.glyphs) - 2
+
+
+def fresh_runs(inputs, **limits) -> list:
+    """``simplify`` and ``replay`` on each presentation ``inputs()`` builds afresh, so that no
+    word holds a fact from an earlier run."""
+    runs = []
+    for p in inputs():
+        verdict, trace = simplify(p, **limits)
+        runs.append((verdict, trace, replay(trace, p)))
+    return runs
+
+
+def counted_keys(monkeypatch) -> list[Word]:
+    """The words whose ``cyclic_key`` is computed from now on, in order."""
+    fact, computed = Word.__dict__["cyclic_key"], []
+
+    def counting(word, compute=fact.compute):
+        computed.append(word)
+        return compute(word)
+
+    monkeypatch.setattr(fact, "compute", counting)
+    return computed
+
+
+def one_shape_for_every_word(monkeypatch) -> None:
+    """Every relator of a round then meets a kept relator of its shape, so each is keyed."""
+    monkeypatch.setattr(Word.__dict__["_shape"], "compute", lambda word: 0)
+
+
+def shape_oracle(letters) -> tuple:
+    """Length and unsigned generator counts, which rotation and inversion keep."""
+    gens = {sl.gen for sl in letters}
+    return len(letters), tuple(sorted((g.id, count_oracle(letters, g)) for g in gens))
+
+
+class TestShapeBuckets:
+    """A round reads a relator's ``cyclic_key`` only where a kept relator shares its
+    ``_shape``; keying every relator, as one shape for all words does, changes no run."""
+
+    @pytest.mark.parametrize("limits", LIMITS, ids=LIMIT_IDS)
+    def test_keying_every_relator_changes_no_corpus_run(self, limits, monkeypatch):
+        bucketed = fresh_runs(corpus_presentations, **limits)
+        keyed = counted_keys(monkeypatch)
+        one_shape_for_every_word(monkeypatch)
+        assert fresh_runs(corpus_presentations, **limits) == bucketed and keyed
+        for p, (verdict, trace, replayed) in zip(corpus_presentations(), bucketed):
+            assert_same_run((verdict, trace), reference_simplify(p, **limits))
+            assert replayed == verdict
+
+    def test_keying_every_relator_changes_no_random_or_chain_run(self, monkeypatch):
+        def inputs():
+            randoms = [random_presentation(random.Random(seed)) for seed in range(300)]
+            chains = [chain_presentation(random.Random(seed), 12 + seed % 9) for seed in range(50)]
+            return randoms + chains
+
+        bucketed = fresh_runs(inputs)
+        keyed = counted_keys(monkeypatch)
+        one_shape_for_every_word(monkeypatch)
+        assert fresh_runs(inputs) == bucketed and len(keyed) > 1000
+        for p, (verdict, trace, replayed) in zip(inputs(), bucketed):
+            assert_same_run((verdict, trace), reference_simplify(p))
+            assert replayed == verdict
+
+    @pytest.mark.parametrize("shapes", ["bucketed", "one shape"])
+    def test_hand_cases(self, shapes, monkeypatch):
+        if shapes == "one shape":
+            one_shape_for_every_word(monkeypatch)
+        for texts in (("a b c", "a c b"), ("a b", "a b^-1")):  # one shape, two words
+            p = pres(DE, *texts)
+            assert normalize(p) == p and len(p.relators) == 2
+        p = pres(DE, "a b", "b^-1 a^-1")  # the inverse drops; the first origin stays
+        assert normalize(p).relators == (w(DE, "a b"),)
+        assert normalize(p).origins == (p.origins[0],)
+        ab = w(DE, "a b")  # one ``Word`` twice: the first stays, with its origin
+        origins = tuple(Provenance(ref=str(k)) for k in range(3))
+        p = Presentation(DE, (ab, w(DE, "c"), ab), origins, DE.generator_set)
+        assert normalize(p).relators == p.relators[:2]
+        assert normalize(p).origins == p.origins[:2]
+        keyed = "cyclic_key" in vars(p.relators[0])
+        assert keyed == (shapes == "one shape")  # met ``c`` if every shape is one
+
+    @pytest.mark.parametrize("limits", [{}, {"max_rounds": 3}, {"max_relator_len": 3}],
+                             ids=["unbounded", "rounds3", "len3"])
+    def test_no_corpus_run_computes_a_key(self, limits, monkeypatch):
+        keyed = counted_keys(monkeypatch)
+        runs = fresh_runs(corpus_presentations, **limits)
+        assert keyed == [] and all(trace.steps for _, trace, _ in runs)
+
+    def test_a_key_is_computed_only_on_a_shape_collision(self, monkeypatch):
+        keyed = counted_keys(monkeypatch)
+        real_round, rounds = homophonic.presentation._round, []
+
+        def round_checked(p, g=None, solution=None):
+            assert keyed == []  # no key is read outside a round
+            q = real_round(p, g, solution)
+            entering = [shape_oracle(c) for u in p.relators if (c := oracle_core(
+                u if g is None else substitute_oracle(u, g, solution)))]
+            kept = {shape_oracle(u) for u in q.relators}
+            for word in keyed:  # two words of the round have its shape, and one is kept
+                assert entering.count(shape_oracle(word)) > 1 and shape_oracle(word) in kept
+            rounds.append(len(keyed))
+            keyed.clear()
+            return q
+
+        monkeypatch.setattr(homophonic.presentation, "_round", round_checked)
+        chains = [chain_presentation(random.Random(seed), 12 + seed % 9) for seed in range(50)]
+        randoms = [random_presentation(random.Random(seed)) for seed in range(300)]
+        for p in chains + randoms:
+            verdict, trace = simplify(p)
+            assert replay(trace, p) == verdict
+        assert len(rounds) > 1000 and sum(rounds) > 100, (len(rounds), sum(rounds))
 
 
 class TestReplay:

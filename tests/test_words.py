@@ -528,6 +528,32 @@ class TestProperties:
         assert (u.cyclic_key == v.cyclic_key) == same
         assert same or relation == "unrelated"
 
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([ABC, SCRATCH]))
+    def test_rotations_and_inverses_keep_the_shape_and_the_key(self, seed, alphabet):
+        # An elimination round reads ``cyclic_key`` only for words of one ``_shape``.
+        u = cyclically_reduced(random.Random(seed), alphabet, 16)
+        for letters in cyclic_variants(u.letters):
+            v = Word(letters)
+            assert (v._shape, v.cyclic_key) == (u._shape, u.cyclic_key)
+
+    def test_words_with_one_key_share_a_shape(self):
+        # Every cyclically reduced word over a, b, c of up to five letters.
+        letters = [SignedLetter(g, s) for g in ABC for s in (1, -1)]
+        words = [EMPTY_WORD]
+        for n in range(1, 6):
+            for seq in itertools.product(letters, repeat=n):
+                if Word(seq) == seq and not (n > 1 and seq[0] == seq[-1].inverse()):
+                    words.append(Word(seq))
+        shapes: dict[tuple, set] = {}
+        for v in words:
+            shapes.setdefault(v.cyclic_key, set()).add(v._shape)
+        # 5^n + 1 + 2(1 + (-1)^n) cyclically reduced words of length n >= 1 in a free group of rank 3
+        assert len(words) == 1 + sum(5**n + 1 + 2 * (1 + (-1) ** n) for n in range(1, 6))
+        assert all(len(group) == 1 for group in shapes.values())
+        assert len(shapes) < len(words) / 4  # keys do meet
+        assert w(ABC, "a b")._shape == w(ABC, "a b^-1")._shape == w(ABC, "b^-1 a^-1")._shape
+
 
 class TestWordIsItsLetters:
     """A Word is the tuple of its reduced letters; ``+`` is not the group product."""

@@ -31,7 +31,7 @@ class AbelianInvariants(NamedTuple):
 
 def _rows(p: Presentation, relators: Iterable[Word]) -> tuple[tuple[int, ...], ...]:
     """One row of signed exponent sums per relator, columns ``p``'s live generators in id order."""
-    column = {g: j for j, g in enumerate(p.live_generators())}
+    column = {g: j for j, g in enumerate(p.live)}
     rows = []
     for w in relators:
         row = [0] * len(column)
@@ -42,7 +42,7 @@ def _rows(p: Presentation, relators: Iterable[Word]) -> tuple[tuple[int, ...], .
 
 
 def exponent_matrix(p: Presentation) -> ExponentMatrix:
-    return ExponentMatrix(tuple(g.id for g in p.live_generators()), _rows(p, p.relators))
+    return ExponentMatrix(tuple(g.id for g in p.live), _rows(p, p.relators))
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:

@@ -13,7 +13,7 @@ it is built with."""
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .words import (
     Alphabet,
@@ -89,7 +89,7 @@ def relator_from_relation(rel: Relation) -> Word:
 
 
 class Presentation(Value):
-    """Alphabet, cyclically reduced relators, and the still-live generators.
+    """Alphabet, cyclically reduced relators, and the live generators as a tuple in id order.
 
     ``origins`` runs parallel to ``relators`` and survives substitution, so
     a trace can always name the dataset record behind each elimination.
@@ -99,11 +99,11 @@ class Presentation(Value):
     _compared = __match_args__[1:]  # generators carry their language
 
     def __init__(self, alphabet: Alphabet, relators: tuple[Word, ...],
-                 origins: tuple[Provenance, ...], live: frozenset[Generator]):
+                 origins: tuple[Provenance, ...], live: Iterable[Generator]):
         relators, origins, live = tuple(relators), tuple(origins), frozenset(live)
         if len(relators) != len(origins):
             raise ValueError("origins must align with relators")
-        if not live <= alphabet.generator_set:
+        if not live.issubset(alphabet.generators):
             raise ValueError("live generators must be generators of the alphabet")
         for i, w in enumerate(relators):  # Words, nonempty, over live, cyclically reduced
             if type(w) is not Word:
@@ -115,11 +115,7 @@ class Presentation(Value):
                                             f" of the {alphabet.language!r} alphabet")
             if w[0].gen == w[-1].gen and w[0].sign != w[-1].sign:
                 raise ValueError(f"relator {display(w)} is not cyclically reduced")
-        super().__init__(alphabet, relators, origins, live)
-
-    def __repr__(self) -> str:  # ``live`` in id order, whatever the hash seed
-        live = "{" + ", ".join(map(repr, self.live_generators())) + "}" if self.live else ""
-        return super().__repr__().removesuffix(f"{self.live!r})") + f"frozenset({live}))"
+        super().__init__(alphabet, relators, origins, tuple(sorted(live)))
 
     @classmethod
     def from_relations(
@@ -130,10 +126,7 @@ class Presentation(Value):
         shared: dict[Word, Word] = {}
         kept = [(shared.setdefault(w, w), rel.provenance)
                 for rel in relations if (w := relator_from_relation(rel))]
-        return cls(alphabet, [w for w, _ in kept], [o for _, o in kept], alphabet.generator_set)
-
-    def live_generators(self) -> tuple[Generator, ...]:
-        return tuple(sorted(self.live))
+        return cls(alphabet, [w for w, _ in kept], [o for _, o in kept], alphabet.generators)
 
 
 class Trivial(Value):
@@ -179,7 +172,7 @@ def _round(p: Presentation, g=None, solution=None) -> Presentation:
     relator that is empty or equal to an earlier one up to rotation and inversion drops; the
     first stays.  Such words share a ``_shape``, so a ``cyclic_key`` is read only where a kept
     relator has the shape already, and the same ``Word`` again drops unread.  ``g`` leaves the
-    live set, and the result is built unchecked: substituting and dropping keep it valid."""
+    live tuple, and the result is built unchecked: substituting and dropping keep it valid."""
     firsts, keys, relators, origins = {}, set(), [], []
     for w, origin in zip(p.relators, p.origins):
         if g is not None and g in w.counts:  # a normalizing pass skips the lookup
@@ -194,8 +187,9 @@ def _round(p: Presentation, g=None, solution=None) -> Presentation:
             keys.add(key)
         relators.append(w)
         origins.append(origin)
-    Value.__init__(q := object.__new__(Presentation),
-                   p.alphabet, tuple(relators), tuple(origins), p.live - {g})
+    live = p.live if g is None else p.live[:(k := p.live.index(g))] + p.live[k + 1:]
+    Value.__init__(q := object.__new__(Presentation), p.alphabet, tuple(relators), tuple(origins),
+                   live)
     return q
 
 
@@ -249,7 +243,7 @@ def _verdict(p: Presentation) -> Verdict:
     if p.relators:
         return Unresolved(p)
     if p.live:
-        return FreeOfRank(len(p.live), p.live_generators())
+        return FreeOfRank(len(p.live), p.live)
     return Trivial()
 
 

@@ -127,9 +127,8 @@ def split_graphemes(text: str) -> list[str]:
 
 
 @lru_cache(maxsize=32)  # (language, glyphs) pairs whose generators and letters are kept
-def _generators(language: str, glyphs: tuple[str, ...]) -> tuple[tuple[Generator, ...],
-                                                                 frozenset[Generator], dict]:
-    """The checked generators of ``glyphs``, their set, and each NFC glyph's positive letter."""
+def _generators(language: str, glyphs: tuple[str, ...]) -> tuple[tuple[Generator, ...], dict]:
+    """The checked generators of ``glyphs`` and each NFC glyph's positive letter."""
     gens: list[Generator] = []
     seen: set[str] = set()
     for index, glyph in enumerate(glyphs):
@@ -140,7 +139,7 @@ def _generators(language: str, glyphs: tuple[str, ...]) -> tuple[tuple[Generator
             raise AlphabetError(f"duplicate glyph {glyph!r}", index)
         seen.add(glyph)
         gens.append(Generator(index, glyph, language))
-    return tuple(gens), frozenset(gens), {g.glyph: SignedLetter(g, 1) for g in gens}
+    return tuple(gens), {g.glyph: SignedLetter(g, 1) for g in gens}
 
 
 class Alphabet:
@@ -150,7 +149,7 @@ class Alphabet:
 
     def __init__(self, language: str, glyphs: Iterable[str]):
         self.language = language
-        self.generators, self.generator_set, self._letters = _generators(language, tuple(glyphs))
+        self.generators, self._letters = _generators(language, tuple(glyphs))
 
     def __len__(self) -> int:
         return len(self.generators)

@@ -7,7 +7,8 @@ alone, with a first-wins dedup on ``cyclic_key_oracle``; the library values
 ``Word`` and ``Presentation`` only hold their results.  ``reference_simplify``
 is the elimination loop as one checked presentation per round, through
 ``reference_eliminate``.  ``trace_oracle`` checks a trace step by step, on its own
-list of relators.
+list of relators.  ``korean_confusions`` builds Korean syllables by their code point
+arithmetic, not through the library's Hangul codec.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import unicodedata
 from itertools import combinations
 from math import gcd
 
+from homophonic.datasets import LanguageDataset, builtin_dataset
 from homophonic.hangul import CONSONANT_SET, VOWEL_SET
 from homophonic.presentation import (
     DEFAULT_MAX_RELATOR_LEN,
@@ -186,6 +188,39 @@ def chain_presentation(rng: random.Random, n: int, length: int = 3) -> Presentat
     return from_relators(alphabet, relators)
 
 
+# Hangul syllables run lead by lead, then vowel by vowel, then over 28 tails, the first none.
+SYLLABLE_LEADS = "ㄱㄲㄴㄷㄸㄹㅁㅂㅃㅅㅆㅇㅈㅉㅊㅋㅌㅍㅎ"
+SYLLABLE_VOWELS = "ㅏㅐㅑㅒㅓㅔㅕㅖㅗㅘㅙㅚㅛㅜㅝㅞㅟㅠㅡㅢㅣ"
+VOWEL_CONFUSIONS = (("ㅐ", "ㅔ"), ("ㅚ", "ㅙ"), ("ㅖ", "ㅔ"))
+
+
+def hangul_syllable(lead: int, vowel: str, tail: int) -> str:
+    """The syllable of the ``lead``-th lead, ``vowel`` and the ``tail``-th tail, 0 for none."""
+    return chr(0xAC00 + (lead * len(SYLLABLE_VOWELS) + SYLLABLE_VOWELS.index(vowel)) * 28 + tail)
+
+
+def korean_confusions(rng: random.Random, records: int = 100) -> LanguageDataset:
+    """``records`` word pairs of 1–4 random syllables that differ in one syllable's vowel by
+    a confusion from a random nonempty subset of ``VOWEL_CONFUSIONS``, on the bundled
+    Korean alphabet, as in the benchmark's ingest family.  Each record's ref names its
+    confusion; the confusions chain, so the group is free of rank 39 minus the refs used."""
+    korean = builtin_dataset("korean")
+    vowels = [v for v in SYLLABLE_VOWELS if v in korean.glyphs]
+    chosen = rng.sample(VOWEL_CONFUSIONS, rng.randint(1, len(VOWEL_CONFUSIONS)))
+    out = []
+    for _ in range(records):
+        pair = rng.choice(chosen)
+        swapped = pair if rng.random() < 0.5 else pair[::-1]
+        length = rng.randint(1, 4)
+        at = rng.randrange(length)
+        syllables = [(rng.randrange(len(SYLLABLE_LEADS)), rng.choice(vowels), rng.randrange(28))
+                     for _ in range(length)]
+        lhs, rhs = ("".join(hangul_syllable(lead, x if i == at else v, tail)
+                            for i, (lead, v, tail) in enumerate(syllables)) for x in swapped)
+        out.append(Provenance("word", lhs, rhs, "synthetic", "/".join(pair)))
+    return LanguageDataset(korean.language, korean.glyphs, tuple(out))
+
+
 def from_relators(alphabet: Alphabet, relators: list[Word]) -> Presentation:
     """A presentation on the whole alphabet with one relation ``core = 1`` per
     relator, where ``core`` is the relator's cyclic core."""
@@ -223,7 +258,7 @@ def reference_eliminate(p: Presentation, g, i: int):
     solution = tuple(reduce_oracle(solve_oracle(p.relators[i].letters, g)))
     cores = [oracle_core(substitute_oracle(w.letters, g, solution)) for w in p.relators]
     step = EliminationStep(g, Word(solution), i, p.origins[i])
-    return _first_of_each(p, cores, p.live - {g}), step
+    return _first_of_each(p, cores, [h for h in p.live if h != g]), step
 
 
 def reference_simplify(
@@ -287,7 +322,7 @@ def trace_oracle(p: Presentation, trace: EliminationTrace, verdict) -> None:
         live.discard(g)
     keys = {cyclic_key_oracle(r) for r, _ in relators}
     assert keys == {cyclic_key_oracle(w) for w in trace.final.relators}, "final relators differ"
-    assert live == trace.final.live, "final live generators differ"
+    assert tuple(sorted(live)) == trace.final.live, "final live generators differ"
     if isinstance(verdict, Unresolved):
         assert relators and verdict.remaining == trace.final, "unresolved, but not at trace.final"
     else:

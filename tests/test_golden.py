@@ -69,7 +69,7 @@ def final_presentation(name: str, bound: str, value: int) -> dict:
             [display(w, ascii_inverse=True), origin.witness()]
             for w, origin in zip(final.relators, final.origins)
         ],
-        "live": [g.glyph for g in final.live_generators()],
+        "live": [g.glyph for g in final.live],
     }
 
 

@@ -1,13 +1,21 @@
 """Metamorphic invariance: a transformation that keeps the group up to isomorphism keeps
 the abelian invariants, and the verdict's kind and rank whenever both runs resolve.  No
 oracle is consulted; each transformed dataset or presentation is checked against its
-untransformed self."""
+untransformed self.  Chain presentations and Korean confusion corpora are free by
+construction, so there the invariants and any resolved verdict are checked against that."""
 
 import random
 
 import pytest
 
-from helpers import from_relators, inverse_oracle, random_presentation, reduce_oracle
+from helpers import (
+    chain_presentation,
+    from_relators,
+    inverse_oracle,
+    korean_confusions,
+    random_presentation,
+    reduce_oracle,
+)
 from homophonic import (
     FreeOfRank,
     LanguageDataset,
@@ -32,6 +40,11 @@ NIELSEN_PRESENTATIONS = 1000
 # elimination is not invariant under automorphisms of the free group.
 ONE_SIDED_SEEDS = [39, 61, 253, 273, 279, 503, 563, 636, 659, 749, 755, 784, 796, 827, 854, 864,
                    916, 938, 992]
+CHAIN_PRESENTATIONS = 200
+# The same for chain presentations of 8–19 generators.
+CHAIN_ONE_SIDED_SEEDS = [56, 57, 59, 63, 77, 81, 106, 150, 166, 182]
+CONFUSION_CORPORA = 20
+CONFUSION_TRANSFORMS = 5
 
 
 def group_facts(p: Presentation):
@@ -129,7 +142,7 @@ def test_random_presentations_keep_the_group_when_relators_are_rotated_and_inver
 def nielsen_moved(p: Presentation, rng: random.Random) -> Presentation:
     """Every relator under one Nielsen move a → a·b^±1, for two random generators a ≠ b,
     built from letter lists and reduced by the oracle."""
-    a, b = rng.sample(p.live_generators(), 2)
+    a, b = rng.sample(p.live, 2)
     e = rng.choice((1, -1))
     images = []
     for r in p.relators:
@@ -162,3 +175,39 @@ def test_random_presentations_keep_the_group_under_a_nielsen_move():
             one_sided.append(seed)
     assert resolved > 400, resolved
     assert one_sided == ONE_SIDED_SEEDS
+
+
+@pytest.mark.parametrize(
+    "move, one_sided_seeds",
+    [(rotated_and_inverted, []), (nielsen_moved, CHAIN_ONE_SIDED_SEEDS)],
+    ids=["rotated_and_inverted", "nielsen_moved"],
+)
+def test_chain_presentations_stay_free_of_rank_two(move, one_sided_seeds):
+    resolved, one_sided = 0, []
+    for seed in range(CHAIN_PRESENTATIONS):
+        rng = random.Random(seed)
+        p = chain_presentation(rng, 8 + seed % 12)
+        facts = [group_facts(p), group_facts(move(p, rng))]
+        for invariants, verdict in facts:
+            assert invariants == (2, ()), seed
+            assert verdict in (None, (FreeOfRank, 2)), seed
+        verdicts = [verdict for _, verdict in facts if verdict is not None]
+        if len(verdicts) == 2:
+            resolved += 1
+        elif verdicts:
+            one_sided.append(seed)
+    assert one_sided == one_sided_seeds
+    assert resolved == CHAIN_PRESENTATIONS - len(one_sided_seeds)
+
+
+def test_korean_confusion_corpus_transforms_keep_the_group():
+    for seed in range(CONFUSION_CORPORA):
+        rng = random.Random(f"confusions:{seed}")
+        corpus = korean_confusions(rng)
+        rank = len(corpus.glyphs) - len({r.ref for r in corpus.records})
+        facts = group_facts(to_presentation(corpus))
+        assert facts == ((rank, ()), (FreeOfRank, rank)), seed
+        for i in range(CONFUSION_TRANSFORMS):
+            t = transformed(corpus, rng, i)
+            assert parse_dataset(serialize_dataset(t)) == t, (seed, i)
+            assert group_facts(to_presentation(t)) == facts, (seed, i)

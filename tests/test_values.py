@@ -3,7 +3,8 @@
 ``Presentation``, the three verdicts, ``LanguageDataset`` and
 ``SyllableDecomposition`` are immutable, compare and hash by their compared
 fields, show themselves as a dataclass would, and match positionally.  A value
-given lists (or a set of live generators) stores tuples (or a frozenset).  Every
+given lists stores tuples, and a presentation stores its live generators, given as
+any iterable, as a tuple in id order.  Every
 value, ``Word`` and the named tuples that hold words included, survives
 ``copy.copy``, ``copy.deepcopy`` and a pickle round trip.
 """
@@ -39,8 +40,8 @@ SMALL = "@language x\n@alphabet a b\nraw\ta\tb\tg\tr\n"
 
 
 def small_presentation() -> Presentation:
-    """⟨a, b | a²⟩ with b already eliminated, so its live set shows in one order."""
-    return Presentation(XY, (parse_word(XY, "a a"),), (Provenance(),), frozenset({XY[0]}))
+    """⟨a, b | a²⟩ with b already eliminated."""
+    return Presentation(XY, (parse_word(XY, "a a"),), (Provenance(),), (XY[0],))
 
 
 def make(name: str):
@@ -71,7 +72,7 @@ GEN_B = "Generator(id=1, glyph='b', language='x')"
 PRESENTATION = (
     "Presentation(alphabet=Alphabet('x', 2 generators), relators=(Word(a·a),),"
     " origins=(Provenance(kind='raw', lhs='', rhs='', gloss='', ref=''),),"
-    f" live=frozenset({{{GEN_A}}}))"
+    f" live=({GEN_A},))"
 )
 REPRS = {
     "Presentation": PRESENTATION,
@@ -171,11 +172,11 @@ def built_from(seq, live) -> list:
 
 
 class TestListFields:
-    """Fields given as lists, or a set of live generators, are stored as tuples or
-    a frozenset, so the value is the one built from tuples."""
+    """Fields given as lists are stored as tuples, and live generators given as a set
+    as the tuple in id order, so the value is the one built from tuples."""
 
     def test_list_built_values_equal_and_hash_like_tuple_built_ones(self):
-        for listed, tupled in zip(built_from(list, set), built_from(tuple, frozenset)):
+        for listed, tupled in zip(built_from(list, set), built_from(tuple, tuple)):
             assert listed == tupled
             assert hash(listed) == hash(tupled)
             assert repr(listed) == repr(tupled)
@@ -198,21 +199,40 @@ print(repr(simplify(p, max_rounds=3)[0]))
 
 
 class TestStableRepr:
-    """``repr`` of a presentation lists its live generators in id order, so it does not
-    follow the hash seed; equality and hashing do not depend on that order anyway."""
+    """A presentation holds its live generators as a tuple in id order, so its ``repr``
+    does not follow the hash seed."""
 
     def test_live_generators_show_in_id_order(self):
         p = to_presentation(builtin_dataset("turkish"))
         assert len(p.live) > 2
-        shown = ", ".join(repr(g) for g in sorted(p.live, key=lambda g: g.id))
-        assert repr(p).endswith(f", live=frozenset({{{shown}}}))")
+        in_order = tuple(sorted(p.live, key=lambda g: g.id))
+        assert p.live == in_order
+        shown = ", ".join(repr(g) for g in in_order)
+        assert repr(p).endswith(f", live=({shown}))")
 
-    def test_no_live_generator_shows_an_empty_frozenset(self):
+    def test_no_live_generator_shows_an_empty_tuple(self):
         p = Presentation(XY, (), (), frozenset())
+        assert p.live == ()
         assert repr(p) == (
             "Presentation(alphabet=Alphabet('x', 2 generators), relators=(), origins=(),"
-            " live=frozenset())"
+            " live=())"
         )
+
+    @pytest.mark.parametrize(
+        "given",
+        [set, list, lambda gens: tuple(reversed(gens)), lambda gens: (*gens, gens[0])],
+        ids=["set", "list", "reversed", "repeat"],
+    )
+    def test_live_given_in_any_form_is_the_id_ordered_tuple(self, given):
+        p = to_presentation(builtin_dataset("german"))
+        gens = [p.alphabet[i] for i in (4, 0, 7, 2)]
+        built = Presentation(p.alphabet, (), (), given(gens))
+        want = Presentation(p.alphabet, (), (), tuple(sorted(gens, key=lambda g: g.id)))
+        assert built.live == want.live == (gens[1], gens[3], gens[0], gens[2])
+        assert type(built.live) is tuple
+        assert built == want
+        assert hash(built) == hash(want)
+        assert repr(built) == repr(want)
 
     def test_repr_is_the_same_under_three_hash_seeds(self):
         shown = {

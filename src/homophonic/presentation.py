@@ -1,20 +1,18 @@
 """Finitely presented groups: relators, greedy generator elimination, traces.
 
 A presentation is simplified by repeatedly eliminating a generator that occurs exactly once in
-some relator.  That step is ``eliminate``, which ``simplify`` and ``replay`` share: the relator
-is solved for the generator, and one pass over the relators, ``normalize``'s too, substitutes
-the solution into those that hold it and drops the empty ones and all but the first of each up
-to rotation and inversion, reading a ``cyclic_key`` only where two relators share a length and
-generator counts.  ``simplify`` chooses each step and ``replay`` reads it from a trace.
-Only relators from outside are checked, by ``Presentation``: what the pass builds stays valid
-unchecked.  Relators without the eliminated generator pass through as the same ``Word``
-objects, so their facts are not derived again, and a solution gets no fact but the ``inverse``
-it is built with."""
+some relator.  That step is ``eliminate``: the relator is solved for the generator, and one pass
+over the relators, ``normalize``'s too, substitutes the solution into those that hold it and
+drops the empty ones and all but the first of each up to rotation and inversion, reading a
+``cyclic_key`` only where two relators share a length and generator counts.  Only relators from
+outside are checked, by ``Presentation``; relators without the generator pass through as the
+same ``Word`` objects.  ``replay`` checks a trace with ``tietze``, which shares none of this."""
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import tietze
 from .words import (
     Alphabet,
     AlphabetMismatchError,
@@ -39,7 +37,7 @@ class NotEliminableError(ValueError):
 
 
 class TraceInvalidError(ValueError):
-    """A trace differs from its re-run; ``step_index`` names the first place."""
+    """A trace that ``replay`` refuses; ``step_index`` names the first fault."""
 
     def __init__(self, step_index: int, message: str):
         self.step_index = step_index
@@ -194,8 +192,7 @@ def _round(p: Presentation, g=None, solution=None) -> Presentation:
 
 
 def normalize(p: Presentation) -> Presentation:
-    """Drop duplicate relators up to rotation and inversion; the first of each is kept.  Both
-    ``simplify`` and ``replay`` start here."""
+    """Drop duplicate relators up to rotation and inversion; the first of each is kept."""
     return _round(p)
 
 
@@ -219,8 +216,8 @@ def solve_for(relator: Word, g: Generator) -> Word:
 def eliminate(
     p: Presentation, g: Generator, relator_index: int
 ) -> tuple[Presentation, EliminationStep]:
-    """Eliminate ``g`` using the relator at ``relator_index``; every round of ``simplify`` and
-    ``replay`` is this step.
+    """Eliminate ``g`` using the relator at ``relator_index``; every round of ``simplify`` is
+    this step.
 
     The relator must contain ``g`` exactly once.  One pass rebuilds the relators that hold ``g``
     and drops empty and repeated ones, as ``normalize`` does; the solved one drops out and ``g``
@@ -260,8 +257,8 @@ def simplify(
     that has one, the lowest index on a tie, so earlier-alphabet letters survive; a ``pick``
     hook chooses instead, from the presentation and its ``eliminable`` pairs.  Hitting a
     limit yields an Unresolved verdict, not an error; ``trace.reason`` says why the run
-    stopped.  The run starts from ``normalize(p)``, each round is ``eliminate``, the step that
-    ``replay`` takes too, and the presentation it ends with, unchecked, is ``trace.final``.
+    stopped.  The run starts from ``normalize(p)``, each round is ``eliminate``, and the
+    presentation it ends with, unchecked, is ``trace.final``.
     """
     q, steps = normalize(p), []
     reason = "no relator with a single-occurrence generator"
@@ -288,21 +285,24 @@ def simplify(
 
 
 def replay(trace: EliminationTrace, p: Presentation) -> Verdict:
-    """Apply the recorded (relator index, generator) pairs from ``normalize(p)`` with
-    ``eliminate``, the step each round of ``simplify`` takes: each recorded step must equal
-    the one it makes, and ``trace.final`` the presentation reached.  The TraceInvalidError
-    names the first step that differs or that ``eliminate`` refuses, else ``len(trace.steps)``."""
-    q = normalize(p)
-    for i, step in enumerate(trace.steps):
-        try:
-            q, rerun = eliminate(q, step.generator, step.relator_index)
-        except NotEliminableError:
-            where = f"{step.generator.glyph!r} in relator {step.relator_index}"
-            raise TraceInvalidError(i, f"re-run stops: {where} is not eliminable") from None
-        if rerun != step:
-            raise TraceInvalidError(i, "recorded step differs from the re-run's step")
-    if q != trace.final:
-        raise TraceInvalidError(len(trace.steps), "final presentation differs from the re-run's")
+    """Check ``trace`` from ``p`` with ``tietze.check``, which shares no code with ``simplify``,
+    on words of ±(id+1) ints, and give ``trace.final``'s verdict.  A letter not of ``p.alphabet``
+    becomes None, and a step's generator 0; no checked word holds either.  The TraceInvalidError
+    names the first step that is not eliminable or differs, else ``len(trace.steps)``."""
+    get = {(g, s): s * (g.id + 1) for g in p.alphabet.generators for s in (1, -1)}.get
+    firsts = {}  # a relator repeated as one ``Word`` is converted once, with its first origin
+    for w, origin in zip(p.relators, p.origins):
+        firsts.setdefault(id(w), (w, origin))
+    q = trace.final
+    fault = tietze.check(
+        [(tuple(map(get, w)), origin) for w, origin in firsts.values()],
+        tuple([g.id + 1 for g in p.live]),
+        [(get((s.generator, 1), 0), tuple(map(get, s.solution)), s.relator_index, s.provenance)
+         for s in trace.steps],
+        ([(tuple(map(get, w)), origin) for w, origin in zip(q.relators, q.origins)],
+         tuple([get((g, 1)) for g in q.live])))
+    if fault:
+        raise TraceInvalidError(*fault)
     return _verdict(q)
 
 

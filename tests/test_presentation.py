@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import homophonic.presentation
+import homophonic.tietze
+import homophonic.words
 from helpers import (
     assert_exact_word,
     assert_reduced,
@@ -1020,6 +1022,157 @@ class TestTraceOracle:
         assert swaps > 10, swaps
 
 
+@pytest.fixture(scope="module")
+def runs() -> list[tuple]:
+    """(p, verdict, trace) for the corpora under each of ``LIMITS``, 300 random presentations,
+    20 random picks per corpus and 50 chain presentations."""
+    runs = [(p, *simplify(p, **limits)) for limits in LIMITS for p in corpus_presentations()]
+    runs += [(p, *simplify(p)) for p in map(random_presentation, map(random.Random, range(300)))]
+    rng = random.Random(20)
+    for p in corpus_presentations():
+        runs += [(p, *simplify(p, pick=lambda q, c: rng.choice(c))) for _ in range(20)]
+    chains = [chain_presentation(random.Random(seed), 12 + seed % 9) for seed in range(50)]
+    return runs + [(p, *simplify(p)) for p in chains]
+
+
+def replay_outcome(trace, p):
+    """The verdict ``replay`` gives, or the step index and message of its refusal."""
+    try:
+        return replay(trace, p)
+    except TraceInvalidError as err:
+        return err.step_index, str(err)
+
+
+def with_step(trace, k, *new):
+    """``trace`` with ``new`` for its step ``k``; with nothing, the step is dropped."""
+    return trace._replace(steps=trace.steps[:k] + new + trace.steps[k + 1 :])
+
+
+def one_change_away(p, trace, rng) -> list:
+    """Traces with one change at a random step: the step dropped, swapped with the next, given
+    another relator index or a forged provenance, or its solution with a live letter appended."""
+    steps = trace.steps
+    if not steps:
+        return []
+    k = rng.randrange(len(steps))
+    step = steps[k]
+    live = [h for h in p.live if h not in {s.generator for s in steps[: k + 1]}]
+    changed = [step._replace(relator_index=step.relator_index + 1),
+               step._replace(provenance=Provenance(lhs="forged", rhs="1"))]
+    if live:
+        extra = Word([SignedLetter(rng.choice(live), rng.choice((1, -1)))])
+        changed.append(step._replace(solution=concat(step.solution, extra)))
+    swapped = trace._replace(steps=steps[:k] + steps[k + 1 : k + 2] + (step,) + steps[k + 2 :])
+    variants = [with_step(trace, k), swapped, *(with_step(trace, k, bad) for bad in changed)]
+    return [t for t in variants if t.steps != steps]
+
+
+class TestTietzeChecker:
+    """``replay`` checks a trace with ``homophonic.tietze``, on int words, and runs none of the
+    simplifier; ``trace_oracle`` and a bucket shared by every relator check it."""
+
+    def test_replay_and_the_trace_oracle_accept_the_same_traces(self, runs):
+        for p, verdict, trace in runs:
+            assert replay(trace, p) == verdict
+            trace_oracle(p, trace, verdict)
+
+    def test_a_trace_replay_accepts_passes_the_trace_oracle(self, runs):
+        rng, refused = random.Random(5), 0
+        for p, _, trace in runs:
+            for changed in one_change_away(p, trace, rng):
+                outcome = replay_outcome(changed, p)
+                if isinstance(outcome, tuple):
+                    refused += 1
+                else:  # a swap of two steps that commute would be one; these seeds have none
+                    trace_oracle(p, changed, outcome)
+        assert refused > 1500, refused
+
+    def test_replay_runs_none_of_the_simplifier(self, runs, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("replay ran the simplifier")
+
+        for name in ("eliminate", "normalize", "_round", "solve_for", "substitute",
+                     "cyclic_reduce"):
+            monkeypatch.setattr(homophonic.presentation, name, refuse)
+        for name in ("substitute", "cyclic_reduce"):
+            monkeypatch.setattr(homophonic.words, name, refuse)
+        for name in ("counts", "_shape", "cyclic_key", "inverse"):  # cached ones too
+            monkeypatch.setattr(Word, name, property(refuse))
+        for p, verdict, trace in runs:
+            assert replay(trace, p) == verdict
+
+    def test_one_bucket_for_every_relator_changes_no_outcome(self, runs, monkeypatch):
+        rng, traces = random.Random(6), []
+        for p, _, trace in runs:
+            traces += [(p, t) for t in (trace, *one_change_away(p, trace, rng))]
+        bucketed = [replay_outcome(t, p) for p, t in traces]
+        keyed, real_key = [], homophonic.tietze._key
+        monkeypatch.setattr(homophonic.tietze, "_bucket", lambda r: 0)
+        monkeypatch.setattr(homophonic.tietze, "_key", lambda r: keyed.append(r) or real_key(r))
+        assert [replay_outcome(t, p) for p, t in traces] == bucketed
+        assert len(keyed) > 10_000, len(keyed)
+
+    def test_the_oracles_tampered_traces_are_refused_at_their_step(self):
+        # TestReplay refuses the oracle's dropped steps; this takes its appended letter and swap.
+        german = corpus_presentations()[0]
+        _, trace = simplify(german)
+        live = set(german.live)
+        for k, step in enumerate(trace.steps):
+            live.discard(step.generator)
+            others = [h for h in sorted(live) if step.solution[-1:] != (SignedLetter(h, -1),)]
+            if others:
+                letter = Word([SignedLetter(others[0], 1)])
+                bad = step._replace(solution=concat(step.solution, letter))
+                with pytest.raises(TraceInvalidError) as err:
+                    replay(with_step(trace, k, bad), german)
+                assert err.value.step_index == k
+        swaps = 0
+        for p in corpus_presentations():
+            _, trace = simplify(p)
+            q = normalize(p)
+            for k in range(len(trace.steps) - 1):
+                first, second = trace.steps[k], trace.steps[k + 1]
+                before = {cyclic_key_oracle(r) for r in q.relators}
+                q, _ = eliminate(q, first.generator, first.relator_index)
+                solved = [SignedLetter(second.generator, 1)] + inverse_oracle(second.solution)
+                if cyclic_key_oracle(solved) in before:
+                    continue
+                steps = trace.steps[:k] + (second, first) + trace.steps[k + 2 :]
+                with pytest.raises(TraceInvalidError) as err:
+                    replay(trace._replace(steps=steps), p)
+                assert err.value.step_index == k
+                swaps += 1
+        assert swaps > 10, swaps
+
+    def test_a_trace_over_a_same_glyph_alphabet_of_another_language_is_refused(self):
+        korean = corpus_presentations()[1]
+        other = Alphabet("other", [g.glyph for g in korean.alphabet])
+
+        def moved(word):
+            return Word([SignedLetter(other[sl.gen.id], sl.sign) for sl in word])
+
+        moved_solutions = 0
+        for limits in ({"max_rounds": 3}, {}):
+            _, trace = simplify(korean, **limits)
+            steps = trace.steps
+            for k, step in enumerate(steps):
+                bad = [step._replace(generator=other[step.generator.id])]
+                if step.solution:
+                    bad.append(step._replace(solution=moved(step.solution)))
+                for changed in bad:
+                    with pytest.raises(TraceInvalidError) as err:
+                        replay(with_step(trace, k, changed), korean)
+                    assert err.value.step_index == k
+                moved_solutions += len(bad) - 1
+            final = trace.final  # free of rank 2, or unresolved with relators left
+            forged = Presentation(other, tuple(map(moved, final.relators)), final.origins,
+                                  tuple(other[g.id] for g in final.live))
+            with pytest.raises(TraceInvalidError) as err:
+                replay(trace._replace(final=forged), korean)
+            assert err.value.step_index == len(steps)
+        assert moved_solutions == 13, moved_solutions
+
+
 class TestVerdictText:
     def test_trivial_line(self):
         from homophonic.datasets import builtin_dataset, to_presentation
@@ -1224,7 +1377,7 @@ class TestSolutionFacts:
             verdict, trace = simplify(p)
             assert replay(trace, p) == verdict
             steps += len(trace.steps)
-        assert len(solutions) == 2 * steps > 0
+        assert len(solutions) == steps > 0  # replay solves on int words, with no ``Word``
         assert any("inverse" in vars(x) for x in solutions)
         for solution in solutions:
             assert "counts" not in vars(solution)

@@ -1,5 +1,5 @@
 """The runtime imports nothing outside the standard library, parses as Python 3.10 and keeps
-its lines to ``MAX_LINE`` characters."""
+its lines to ``MAX_LINE`` characters; the trace checker imports nothing at all."""
 
 import ast
 import json
@@ -57,3 +57,13 @@ def test_source_lines_fit_the_width():
             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
             if len(line) > MAX_LINE]
     assert long == []
+
+
+def test_the_trace_checker_imports_nothing():
+    # ``replay`` checks traces with ``tietze``: importing nothing, it shares no simplifier code.
+    path = SRC / "homophonic" / "tietze.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               or isinstance(node, ast.Name) and node.id == "__import__"]
+    assert imports == []
